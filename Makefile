@@ -92,12 +92,12 @@ benchsmoke:
 # Commit the refreshed file when a PR intentionally moves the numbers.
 # The -note records the measurement context for this PR's artifact; keep
 # it when regenerating on the same class of host, rewrite it otherwise.
-BENCH_NOTE = PR10: batch K=8 aggregate is the serial lock-step number; \
-the >=2x-vs-sequential target needs SetParallel across real cores \
-(BenchmarkMachineBatchParallel, skipped on 1-CPU hosts) -- profiling \
-shows ~90% of batch time is irreducible per-member pipeline work, so \
-the serial gain is bounded by shared decode + locality. Checkpoint \
-drift since PR7 (14330 -> ~16900 ns/op) bisects to host \
+BENCH_NOTE = batch K=8 aggregate is the serial lock-step number: the \
+batch runs its members one after another over one shared decoded \
+stream, and profiling shows ~90% of batch time is irreducible \
+per-member pipeline work, so the gain over the sequential baseline is \
+bounded by shared decode + locality. Checkpoint drift since \
+BENCH_PR7.json (14330 -> ~16900 ns/op) bisects to host \
 memory-bandwidth variance, not a code change: the seed commit \
 re-measures at 16.3-16.9us on today's host while HEAD measures \
 16.0-16.2us on the same runs.

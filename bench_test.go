@@ -11,7 +11,6 @@ package smthill
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"smthill/internal/core"
@@ -434,8 +433,8 @@ func BenchmarkMachineBatchCyclesPerSec(b *testing.B) {
 	src.CycleN(20_000)
 	batch := pipeline.BatchFrom(src, batchBenchK)
 	round := func() {
-		batch.Refill(nil)
-		batch.CycleAllN(batchBenchEpoch)
+		batch.RefillN(nil, batchBenchK)
+		batch.CycleFirstN(batchBenchK, batchBenchEpoch)
 	}
 	round() // reach every buffer's high-water mark before timing
 	round()
@@ -469,36 +468,6 @@ func BenchmarkMachineBatchSequentialBaseline(b *testing.B) {
 	round()
 	round()
 	b.ReportAllocs()
-	b.ResetTimer()
-	done := 0
-	for done < b.N {
-		round()
-		done += batchBenchK * batchBenchEpoch
-	}
-	b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "cycles/sec")
-}
-
-// BenchmarkMachineBatchParallel is the same round shape with the batch's
-// persistent workers spread across the host's CPUs. Skipped on a
-// single-CPU host, where lock-step parallelism has nothing to run on —
-// the serial benchmark above is the tracked metric precisely because it
-// is host-shape independent.
-func BenchmarkMachineBatchParallel(b *testing.B) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		b.Skip("single-CPU host: parallel batch mode has no extra cores to use")
-	}
-	w := workload.ByName("art-gzip")
-	src := w.NewMachine(nil)
-	src.CycleN(20_000)
-	batch := pipeline.BatchFrom(src, batchBenchK)
-	batch.SetParallel(runtime.GOMAXPROCS(0))
-	defer batch.Close()
-	round := func() {
-		batch.Refill(nil)
-		batch.CycleAllN(batchBenchEpoch)
-	}
-	round()
-	round()
 	b.ResetTimer()
 	done := 0
 	for done < b.N {

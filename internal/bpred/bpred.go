@@ -8,7 +8,7 @@
 // return address stack; this package follows that organisation.
 //
 // All state lives in plain slices so a Predictor can be deep-copied for
-// machine checkpointing (Clone).
+// machine checkpointing (CloneInto).
 package bpred
 
 // Config sizes the predictor components. The zero value is invalid; use
@@ -57,7 +57,7 @@ type Predictor struct {
 	rasTop  []int
 	lruTick uint32
 
-	// Statistics (monotonic; survive Clone).
+	// Statistics (monotonic; survive CloneInto).
 	Lookups     uint64
 	Mispredicts uint64
 }
@@ -89,45 +89,24 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
-// Clone returns a deep copy for checkpointing.
-func (p *Predictor) Clone() *Predictor {
-	c := *p
-	c.gshare = append([]uint8(nil), p.gshare...)
-	c.bimodal = append([]uint8(nil), p.bimodal...)
-	c.meta = append([]uint8(nil), p.meta...)
-	c.btb = append([]btbEntry(nil), p.btb...)
-	c.history = append([]uint64(nil), p.history...)
-	c.rasTop = append([]int(nil), p.rasTop...)
-	c.ras = make([][]uint64, len(p.ras))
-	for i := range p.ras {
-		c.ras[i] = append([]uint64(nil), p.ras[i]...)
-	}
-	return &c
-}
-
 // CloneInto copies p's state into dst, reusing dst's tables, and returns
-// dst. A nil or differently-shaped dst falls back to an allocating Clone.
+// dst. A nil dst yields a fresh deep copy for checkpointing.
 func (p *Predictor) CloneInto(dst *Predictor) *Predictor {
-	if dst == nil || dst == p ||
-		len(dst.gshare) != len(p.gshare) || len(dst.bimodal) != len(p.bimodal) ||
-		len(dst.meta) != len(p.meta) || len(dst.btb) != len(p.btb) ||
-		len(dst.history) != len(p.history) || len(dst.ras) != len(p.ras) {
-		return p.Clone()
+	if dst == nil || dst == p {
+		dst = &Predictor{}
 	}
-	gshare, bimodal, meta, btb, history, rasTop, ras := dst.gshare, dst.bimodal, dst.meta, dst.btb, dst.history, dst.rasTop, dst.ras
+	old := *dst
 	*dst = *p
-	dst.gshare = gshare
-	dst.bimodal = bimodal
-	dst.meta = meta
-	dst.btb = btb
-	dst.history = history
-	dst.rasTop = append(rasTop[:0], p.rasTop...)
-	dst.ras = ras
-	copy(dst.gshare, p.gshare)
-	copy(dst.bimodal, p.bimodal)
-	copy(dst.meta, p.meta)
-	copy(dst.btb, p.btb)
-	copy(dst.history, p.history)
+	dst.gshare = append(old.gshare[:0], p.gshare...)
+	dst.bimodal = append(old.bimodal[:0], p.bimodal...)
+	dst.meta = append(old.meta[:0], p.meta...)
+	dst.btb = append(old.btb[:0], p.btb...)
+	dst.history = append(old.history[:0], p.history...)
+	dst.rasTop = append(old.rasTop[:0], p.rasTop...)
+	dst.ras = old.ras
+	if len(dst.ras) != len(p.ras) {
+		dst.ras = make([][]uint64, len(p.ras))
+	}
 	for i := range p.ras {
 		dst.ras[i] = append(dst.ras[i][:0], p.ras[i]...)
 	}

@@ -20,12 +20,11 @@ import "fmt"
 // position; reading past the frontier pulls more instructions from the
 // source into the window, and TrimTo discards the prefix every live
 // reader has passed. The window therefore stays bounded as long as the
-// orchestrator (pipeline.MachineBatch) trims between lock-step chunks.
+// orchestrator (pipeline.MachineBatch) trims it at each refill.
 //
-// A Fanout is not safe for concurrent use. For parallel lock-step
-// execution the orchestrator pre-fills the window (Ensure) and freezes
-// the fan-out; frozen reads never touch the source, so readers on
-// distinct goroutines only share read-only state.
+// A Fanout is not safe for concurrent use: the batch advances its
+// members one after another, and whichever reader runs ahead fills the
+// window for the rest.
 type Fanout struct {
 	src Stream
 	buf []Inst
@@ -33,8 +32,6 @@ type Fanout struct {
 	base uint64
 	// exhausted is set when src has run dry; frontier is then final.
 	exhausted bool
-	// frozen forbids filling from src (parallel read-only window).
-	frozen bool
 }
 
 // NewFanout wraps src, taking ownership of it: the caller must not
@@ -66,9 +63,6 @@ func (f *Fanout) Exhausted() bool { return f.exhausted }
 // array is retained across trims, so steady-state filling does not
 // allocate once the high-water window size has been reached.
 func (f *Fanout) fill(pos uint64) bool {
-	if f.frozen {
-		panic("isa: fanout fill inside a frozen window (pre-fill bound too small)")
-	}
 	for !f.exhausted && pos >= f.Frontier() {
 		f.buf = append(f.buf, Inst{})
 		if !f.src.Next(&f.buf[len(f.buf)-1]) {
@@ -78,19 +72,6 @@ func (f *Fanout) fill(pos uint64) bool {
 	}
 	return pos < f.Frontier()
 }
-
-// Ensure pre-fills the window so reads below absolute position pos are
-// satisfied without touching the source (or the source is exhausted).
-func (f *Fanout) Ensure(pos uint64) {
-	if pos > f.Frontier() {
-		f.fill(pos - 1)
-	}
-}
-
-// Freeze toggles the read-only window mode used during parallel
-// lock-step chunks: a frozen fan-out panics instead of filling, so an
-// undersized pre-fill is a loud bug rather than a data race.
-func (f *Fanout) Freeze(on bool) { f.frozen = on }
 
 // TrimTo discards the window prefix below absolute position pos,
 // reclaiming space once every live reader has advanced past it. Readers
@@ -109,10 +90,9 @@ func (f *Fanout) TrimTo(pos uint64) {
 	f.base = pos
 }
 
-// FanoutReader is one consumer's cursor into a Fanout. It implements
-// ReusableStream: CloneStream yields another reader of the same fan-out
-// (this is what makes checkpoint clones share decode), and
-// CloneStreamInto retargets a pooled reader without allocating.
+// FanoutReader is one consumer's cursor into a Fanout. Its CloneStream
+// yields another reader of the same fan-out, which is what makes
+// checkpoint clones share decode.
 type FanoutReader struct {
 	f   *Fanout
 	pos uint64
@@ -141,19 +121,14 @@ func (r *FanoutReader) Next(out *Inst) bool {
 
 // CloneStream implements Stream. The clone shares the fan-out, so a
 // checkpointed sibling replays the identical decoded sequence without
-// re-running the generator.
-func (r *FanoutReader) CloneStream() Stream {
-	return &FanoutReader{f: r.f, pos: r.pos}
-}
-
-// CloneStreamInto implements ReusableStream: any existing FanoutReader
-// (even of a different fan-out — pooled machines are retargeted wholesale)
-// is redirected to the receiver's fan-out and position.
-func (r *FanoutReader) CloneStreamInto(dst Stream) bool {
+// re-running the generator. A FanoutReader dst, even one of a different
+// fan-out, is retargeted in place: pooled machines are redirected
+// wholesale.
+func (r *FanoutReader) CloneStream(dst Stream) Stream {
 	d, ok := dst.(*FanoutReader)
-	if !ok {
-		return false
+	if !ok || d == r {
+		d = &FanoutReader{}
 	}
 	d.f, d.pos = r.f, r.pos
-	return true
+	return d
 }

@@ -23,19 +23,23 @@ func (c *countStream) Next(out *Inst) bool {
 	return true
 }
 
-func (c *countStream) CloneStream() Stream {
-	cp := *c
-	return &cp
+func (s *countStream) CloneStream(dst Stream) Stream {
+	d, ok := dst.(*countStream)
+	if !ok || d == s {
+		d = new(countStream)
+	}
+	*d = *s
+	return d
 }
 
 func TestFanoutReadersSeeIdenticalContent(t *testing.T) {
 	src := &countStream{limit: 1000}
-	ref := src.CloneStream()
+	ref := src.CloneStream(nil)
 	f := NewFanout(src)
 
 	r0 := f.Origin()
-	r1 := r0.CloneStream().(*FanoutReader)
-	r2 := r0.CloneStream().(*FanoutReader)
+	r1 := r0.CloneStream(nil).(*FanoutReader)
+	r2 := r0.CloneStream(nil).(*FanoutReader)
 	readers := []*FanoutReader{r0, r1, r2}
 
 	// Advance the readers with skewed interleaving: r0 leads, r1 lags by
@@ -120,49 +124,23 @@ func TestFanoutCloneStreamIntoRetargets(t *testing.T) {
 	ra.Next(&in)
 	ra.Next(&in)
 
-	if !ra.CloneStreamInto(rb) {
-		t.Fatal("CloneStreamInto(FanoutReader) returned false")
+	if got := ra.CloneStream(rb); got != Stream(rb) {
+		t.Fatal("CloneStream(FanoutReader) did not reuse the destination reader")
 	}
 	if rb.Fanout() != fa || rb.Pos() != ra.Pos() {
 		t.Fatalf("retargeted reader at (%p,%d), want (%p,%d)", rb.Fanout(), rb.Pos(), fa, ra.Pos())
 	}
-	if ra.CloneStreamInto(&countStream{}) {
-		t.Fatal("CloneStreamInto(non-reader) must report false")
-	}
-}
-
-func TestFanoutFreezeForbidsFill(t *testing.T) {
-	f := NewFanout(&countStream{limit: 1000})
-	r := f.Origin()
-	f.Ensure(64)
-	if f.Retained() != 64 {
-		t.Fatalf("Ensure(64) retained %d", f.Retained())
-	}
-	f.Freeze(true)
-	var in Inst
-	for i := 0; i < 64; i++ {
-		if !r.Next(&in) {
-			t.Fatalf("frozen read %d inside pre-filled window failed", i)
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("read past the pre-filled window of a frozen fanout must panic")
-			}
-		}()
-		r.Next(&in)
-	}()
-	f.Freeze(false)
-	if !r.Next(&in) {
-		t.Fatal("thawed fanout failed to fill")
+	other := &countStream{}
+	fresh, ok := ra.CloneStream(other).(*FanoutReader)
+	if !ok || fresh.Fanout() != fa || fresh.Pos() != ra.Pos() || other.calls != 0 {
+		t.Fatal("CloneStream(non-reader) must return a fresh reader and leave dst untouched")
 	}
 }
 
 func TestFanoutExhaustion(t *testing.T) {
 	f := NewFanout(&countStream{limit: 5})
 	r := f.Origin()
-	r2 := r.CloneStream().(*FanoutReader)
+	r2 := r.CloneStream(nil).(*FanoutReader)
 	var in Inst
 	n := 0
 	for r.Next(&in) {

@@ -163,17 +163,10 @@ type Stream interface {
 	// Next writes the next instruction into *out and returns true, or
 	// returns false if the stream is exhausted.
 	Next(out *Inst) bool
-	// CloneStream returns a deep copy positioned at the same point.
-	CloneStream() Stream
-}
-
-// ReusableStream is an optional Stream extension for allocation-free
-// checkpointing: CloneStreamInto overwrites dst — a stream previously
-// produced by CloneStream (or CloneStreamInto) of the same source — with
-// a deep copy positioned at the receiver's point, reusing dst's backing
-// storage. It reports false, leaving dst untouched, when dst is not a
-// compatible destination, and the caller must fall back to CloneStream.
-type ReusableStream interface {
-	Stream
-	CloneStreamInto(dst Stream) bool
+	// CloneStream returns a deep copy positioned at the same point. When
+	// dst is a compatible stream (typically an earlier clone of the same
+	// source) its storage is overwritten and dst is returned, so a
+	// checkpoint loop that recycles its streams does not allocate; any
+	// other dst, nil included, yields a fresh copy and dst is untouched.
+	CloneStream(dst Stream) Stream
 }

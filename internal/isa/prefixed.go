@@ -31,11 +31,13 @@ func (p *prefixedStream) Next(out *Inst) bool {
 	return p.rest.Next(out)
 }
 
-func (p *prefixedStream) CloneStream() Stream {
-	n := &prefixedStream{
-		prefix: append([]Inst(nil), p.prefix...),
-		pos:    p.pos,
-		rest:   p.rest.CloneStream(),
+func (p *prefixedStream) CloneStream(dst Stream) Stream {
+	d, ok := dst.(*prefixedStream)
+	if !ok || d == p {
+		d = &prefixedStream{}
 	}
-	return n
+	d.prefix = append(d.prefix[:0], p.prefix...)
+	d.pos = p.pos
+	d.rest = p.rest.CloneStream(d.rest)
+	return d
 }

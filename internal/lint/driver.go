@@ -31,7 +31,7 @@ import (
 
 // cacheSchemaVersion invalidates every cache entry when the rule
 // implementations change behavior; bump it alongside rule changes.
-const cacheSchemaVersion = "smtlint-cache-v1"
+const cacheSchemaVersion = "smtlint-cache-v2"
 
 // DriverOptions configures a Drive run.
 type DriverOptions struct {

@@ -31,8 +31,10 @@ type HotAllocRule struct {
 	// Packages selects where the rule applies (matchPackage semantics).
 	Packages []string
 	// Roots identify the hot-loop entry points; the walk starts from
-	// every root that exists in the package, and a function reached
-	// from any of them is on the hot path.
+	// every root, and a function reached from any of them is on the hot
+	// path. A root that matches no function in a selected package is a
+	// finding: a renamed or deleted entry point would otherwise leave
+	// its loop silently unchecked.
 	Roots []FuncRef
 	// Cold lists function (or method) names excluded from the walk.
 	Cold []string
@@ -47,15 +49,15 @@ type FuncRef struct {
 
 // NewHotAllocRule returns the project configuration: the cycle path of
 // internal/pipeline, rooted at the single-machine loop (Machine.Cycle)
-// and the lock-step batch loop (MachineBatch.CycleAll — the refill path
-// is amortised per epoch and deliberately outside the contract), with
-// the invariant-check and telemetry-recording paths cold.
+// and the lock-step batch loop (MachineBatch.CycleFirstN — the refill
+// path is amortised per epoch and deliberately outside the contract),
+// with the invariant-check and telemetry-recording paths cold.
 func NewHotAllocRule() *HotAllocRule {
 	return &HotAllocRule{
 		Packages: []string{"internal/pipeline"},
 		Roots: []FuncRef{
 			{Recv: "Machine", Name: "Cycle"},
-			{Recv: "MachineBatch", Name: "CycleAll"},
+			{Recv: "MachineBatch", Name: "CycleFirstN"},
 		},
 		Cold: []string{
 			"checkCycle", "checkCommit", "checkDrain", "CheckInvariants",
@@ -141,20 +143,30 @@ func (r *HotAllocRule) Check(p *Package) []Finding {
 
 	decls := map[*types.Func]*ast.FuncDecl{}
 	var roots []*types.Func
+	found := make([]bool, len(r.Roots))
 	for _, fd := range funcDecls(p) {
 		fn, ok := p.Info.Defs[fd.Name].(*types.Func)
 		if !ok {
 			continue
 		}
 		decls[fn] = fd
-		for _, root := range r.Roots {
+		for i, root := range r.Roots {
 			if fd.Name.Name == root.Name && recvTypeName(fd) == root.Recv {
 				roots = append(roots, fn)
+				found[i] = true
 			}
 		}
 	}
-	if len(roots) == 0 {
-		return nil
+	var out []Finding
+	for i, root := range r.Roots {
+		if !found[i] {
+			out = append(out, Finding{
+				Pos:  p.Fset.Position(p.Files[0].Name.Pos()),
+				Rule: r.Name(),
+				Msg: fmt.Sprintf("hot-loop root %s.%s matches no function in %s; re-root the rule at the loop's current entry point",
+					root.Recv, root.Name, p.Path),
+			})
+		}
 	}
 
 	// Breadth-first walk of the intra-package call graph from every
@@ -199,7 +211,6 @@ func (r *HotAllocRule) Check(p *Package) []Finding {
 		return strings.Join(parts, " -> ")
 	}
 
-	var out []Finding
 	for _, fn := range reached {
 		path := chain(fn)
 		ast.Inspect(decls[fn].Body, func(n ast.Node) bool {

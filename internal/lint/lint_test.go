@@ -208,6 +208,24 @@ func TestHotAllocRuleSilentOnFixedForm(t *testing.T) {
 	}
 }
 
+func TestHotAllocRuleReportsMissingRoot(t *testing.T) {
+	p := fixture(t, "hotallocok")
+	r := hotAllocRule("hotallocok")
+	r.Roots = append(r.Roots, FuncRef{Recv: "Batch", Name: "CycleAllN"})
+	// Run applies the fixture's ignore directive, leaving only the
+	// missing root.
+	got := Run([]Rule{r}, []*Package{p})
+	if len(got) != 1 {
+		t.Fatalf("want exactly the missing-root finding, got %v", got)
+	}
+	if !strings.Contains(got[0].Msg, "Batch.CycleAllN matches no function") {
+		t.Errorf("finding msg %q does not name the missing root", got[0].Msg)
+	}
+	if got[0].Pos.Line != 3 {
+		t.Errorf("missing-root finding at line %d, want the package clause (3)", got[0].Pos.Line)
+	}
+}
+
 func TestHotAllocRuleRespectsPackageSelection(t *testing.T) {
 	p := fixture(t, "hotallocbad")
 	r := hotAllocRule("hotallocbad")

@@ -6,9 +6,7 @@
 // full trace-generation and decode cost for byte-identical instruction
 // content. A MachineBatch advances the K siblings in lock-step chunks
 // over one shared decoded stream (isa.Fanout), so production happens
-// once per fetched instruction instead of K times, and lays the members'
-// hot state out member-major in shared arenas so each member's chunk
-// walks a contiguous region instead of K scattered heaps.
+// once per fetched instruction instead of K times.
 //
 // Divergence contract: members may diverge in fetch *timing* (a member
 // with a tighter partition stalls on different cycles) but never in
@@ -22,69 +20,40 @@ import (
 	"fmt"
 
 	"smthill/internal/isa"
-	"smthill/internal/resource"
 )
 
-// DefaultBatchChunk is the lock-step granularity of CycleAllN: each
-// member advances this many cycles before the next member runs. Small
-// enough that the shared fan-out window stays hot in cache between the
-// leader producing it and the laggards re-reading it; large enough that
-// a member's ~0.5MB private state is not reloaded per handful of cycles.
-const DefaultBatchChunk = 512
-
-// Slack mirrored from the compaction thresholds in stages.go: rob is
-// compacted once robHead reaches 256, pending once pendingHead reaches
-// 512. Arena capacities add them so steady-state compaction never
-// outgrows the carved backing. (Outgrowing is safe — the slice detaches
-// onto its own allocation — just no longer arena-resident.)
-const (
-	robArenaSlack     = 256 + 16
-	pendingArenaSlack = 512 + 64
-)
+// batchChunk is the lock-step granularity of CycleFirstN: each member
+// advances this many cycles before the next member runs. Small enough
+// that the shared fan-out window stays hot in cache between the leader
+// producing it and the laggards re-reading it; large enough that a
+// member's ~0.5MB private state is not reloaded per handful of cycles.
+const batchChunk = 512
 
 // MachineBatch is K clones of a source machine advancing in lock-step
 // over a shared decoded instruction stream. Members are refilled in
-// place from a source checkpoint via the pooled CloneInto path, run
-// together through CycleAll/CycleAllN, and individually detached (Swap)
-// when a trial wins adoption.
+// place from a source checkpoint via CloneInto, run together through
+// CycleFirstN, and individually detached (Swap) when a trial wins
+// adoption.
 type MachineBatch struct {
 	src     *Machine
 	members []*Machine
 	// feeds holds one shared fan-out per hardware context seat.
 	feeds []*isa.Fanout
-	chunk int
-
-	// workers > 1 runs each lock-step chunk's members on persistent
-	// worker goroutines (multi-core hosts); 1 runs them serially.
-	workers int
-	work    chan batchSpan
-	ack     chan struct{}
-}
-
-// batchSpan is one worker's assignment for one lock-step chunk.
-type batchSpan struct {
-	lo, hi, cycles int
 }
 
 // BatchFrom builds a K-member batch over src. It takes over src's
 // instruction streams, re-binding each to a shared fan-out reader (the
 // sequence src observes is unchanged); src itself is NOT a member and is
 // never advanced by the batch — it is the refill checkpoint. Members
-// are created immediately as clones of src with arena-backed hot state.
+// are created immediately as clones of src.
 func BatchFrom(src *Machine, k int) *MachineBatch {
 	if k < 1 {
 		panic(fmt.Sprintf("pipeline: BatchFrom with %d members", k))
 	}
-	b := &MachineBatch{
-		src:     src,
-		members: make([]*Machine, k),
-		chunk:   DefaultBatchChunk,
-		workers: 1,
-	}
+	b := &MachineBatch{members: make([]*Machine, k)}
 	b.adoptSource(src)
-	ar := newBatchArena(src, k)
 	for i := range b.members {
-		b.members[i] = cloneIntoArena(src, ar, i)
+		b.members[i] = src.Clone()
 	}
 	return b
 }
@@ -115,28 +84,14 @@ func (b *MachineBatch) adoptSource(src *Machine) {
 func (b *MachineBatch) K() int { return len(b.members) }
 
 // Member returns member i. Callers may configure it (shares, recorder,
-// policy) between Refill and CycleAllN, and read its statistics after.
+// policy) between RefillN and CycleFirstN, and read its statistics after.
 func (b *MachineBatch) Member(i int) *Machine { return b.members[i] }
 
-// Src returns the current refill checkpoint.
-func (b *MachineBatch) Src() *Machine { return b.src }
-
-// SetChunk overrides the lock-step granularity (DefaultBatchChunk).
-func (b *MachineBatch) SetChunk(n int) {
-	if n < 1 {
-		n = 1
-	}
-	b.chunk = n
-}
-
-// Refill overwrites every member with a fresh checkpoint of src via the
-// pooled CloneInto path and trims the shared windows to the checkpoint
-// position. Passing nil refills from the current source.
-func (b *MachineBatch) Refill(src *Machine) { b.RefillN(src, len(b.members)) }
-
-// RefillN refills only the first n members — a partial wave when fewer
-// candidates remain than the batch holds. The remaining members keep
-// their stale state and must not be advanced.
+// RefillN overwrites the first n members with a fresh checkpoint of src
+// via CloneInto and trims the shared windows to the checkpoint position.
+// Passing nil refills from the current source. A partial wave (fewer
+// candidates than the batch holds) leaves the remaining members stale;
+// they must not be advanced.
 func (b *MachineBatch) RefillN(src *Machine, n int) {
 	if src == nil {
 		src = b.src
@@ -145,11 +100,7 @@ func (b *MachineBatch) RefillN(src *Machine, n int) {
 		b.adoptSource(src)
 	}
 	for i := 0; i < n; i++ {
-		if b.members[i] == nil {
-			b.members[i] = src.Clone()
-		} else {
-			src.CloneInto(b.members[i])
-		}
+		b.members[i] = src.CloneInto(b.members[i])
 	}
 	b.trimToSource()
 }
@@ -177,9 +128,6 @@ func (b *MachineBatch) feedsStale(src *Machine) bool {
 // the source at or after this position, so nothing can read below it.
 func (b *MachineBatch) trimToSource() {
 	for t, f := range b.feeds {
-		if f == nil {
-			continue
-		}
 		if r, ok := b.src.threads[t].stream.(*isa.FanoutReader); ok {
 			f.TrimTo(r.Pos())
 		}
@@ -187,7 +135,7 @@ func (b *MachineBatch) trimToSource() {
 }
 
 // Swap replaces member i with repl (which must be shaped like the other
-// members, or nil to leave the slot empty until the next Refill clones
+// members, or nil to leave the slot empty until the next RefillN clones
 // it afresh) and returns the outgoing member. This is how a winning
 // trial is promoted to the live machine: the caller takes the winner out
 // and hands the dethroned live machine back as the replacement.
@@ -197,204 +145,18 @@ func (b *MachineBatch) Swap(i int, repl *Machine) *Machine {
 	return out
 }
 
-// CycleAll advances every member one cycle, member-major. It is the
-// batch's hot entry point and must not allocate in the steady state
-// (enforced by the hotalloc lint root and the alloc regression test).
-func (b *MachineBatch) CycleAll() {
-	for _, m := range b.members {
-		m.Cycle()
-	}
-}
-
-// CycleAllN advances every member n cycles in lock-step chunks.
-func (b *MachineBatch) CycleAllN(n int) { b.CycleFirstN(len(b.members), n) }
-
-// CycleFirstN advances only members [0, k) by n cycles in lock-step
-// chunks — the partial-wave companion of RefillN.
+// CycleFirstN advances members [0, k) by n cycles in lock-step chunks —
+// the partial-wave companion of RefillN. It is the batch's hot entry
+// point and must not allocate in the steady state (enforced by the
+// hotalloc lint root and the alloc regression test).
 func (b *MachineBatch) CycleFirstN(k, n int) {
 	if k > len(b.members) {
 		k = len(b.members)
 	}
-	for done := 0; done < n; {
-		c := b.chunk
-		if c > n-done {
-			c = n - done
-		}
-		if b.workers > 1 && k > 1 {
-			b.chunkParallel(k, c)
-		} else {
-			for i := 0; i < k; i++ {
-				b.members[i].CycleN(c)
-			}
-		}
-		done += c
-	}
-}
-
-// SetParallel runs each lock-step chunk's members on w persistent worker
-// goroutines. The fan-out windows are pre-filled and frozen for the
-// duration of a chunk, so workers share only read-only state; execution
-// is bit-identical to the serial order because members never communicate.
-// w <= 1 restores serial mode. Call Close when done with a parallel
-// batch to stop the workers. Machines attached to a shared L3 refuse
-// parallel mode: the L3 is mutable shared state.
-func (b *MachineBatch) SetParallel(w int) {
-	if w > len(b.members) {
-		w = len(b.members)
-	}
-	if w <= 1 {
-		b.Close()
-		b.workers = 1
-		return
-	}
-	for _, m := range b.members {
-		if m != nil && m.mem.L3() != nil {
-			panic("pipeline: parallel MachineBatch over a shared L3")
+	for done := 0; done < n; done += batchChunk {
+		c := min(batchChunk, n-done)
+		for _, m := range b.members[:k] {
+			m.CycleN(c)
 		}
 	}
-	b.Close()
-	b.workers = w
-	b.work = make(chan batchSpan)
-	b.ack = make(chan struct{})
-	for i := 0; i < w; i++ {
-		go b.worker()
-	}
-}
-
-// Close stops the persistent workers of a parallel batch (no-op in
-// serial mode). The batch remains usable serially afterwards.
-func (b *MachineBatch) Close() {
-	if b.work != nil {
-		close(b.work)
-		b.work, b.ack = nil, nil
-	}
-	b.workers = 1
-}
-
-func (b *MachineBatch) worker() {
-	for s := range b.work {
-		for i := s.lo; i < s.hi; i++ {
-			b.members[i].CycleN(s.cycles)
-		}
-		b.ack <- struct{}{}
-	}
-}
-
-// chunkParallel runs one chunk of c cycles for members [0, k) across the
-// persistent workers. The fetch stage pulls at most FetchWidth
-// instructions per seat per cycle, so pre-filling each window to
-// maxPos + c*FetchWidth guarantees no worker ever touches the source.
-func (b *MachineBatch) chunkParallel(k, c int) {
-	for t, f := range b.feeds {
-		if f == nil {
-			continue
-		}
-		var maxPos uint64
-		for i := 0; i < k; i++ {
-			if r, ok := b.members[i].threads[t].stream.(*isa.FanoutReader); ok && r.Pos() > maxPos {
-				maxPos = r.Pos()
-			}
-		}
-		f.Ensure(maxPos + uint64(c*b.src.cfg.FetchWidth))
-		f.Freeze(true)
-	}
-	per := (k + b.workers - 1) / b.workers
-	spans := 0
-	for lo := 0; lo < k; lo += per {
-		hi := lo + per
-		if hi > k {
-			hi = k
-		}
-		b.work <- batchSpan{lo: lo, hi: hi, cycles: c}
-		spans++
-	}
-	for ; spans > 0; spans-- {
-		<-b.ack
-	}
-	for _, f := range b.feeds {
-		if f != nil {
-			f.Freeze(false)
-		}
-	}
-}
-
-// batchArena owns the member-major backing arrays of a batch's hot
-// state: conceptually a structure of arrays indexed [member][slot], so
-// member i's slab, free list, ready queue, completion ring, and
-// per-thread buffers occupy one contiguous stripe.
-type batchArena struct {
-	slabSize  int
-	freeCap   int
-	readyCap  int
-	ringSlots int
-	robCap    int
-	pendCap   int
-	threads   int
-
-	slab  []inflight
-	free  []int32
-	ready []readyEnt
-	ring  []ref
-	rob   []ref
-	pend  []isa.Inst
-}
-
-func newBatchArena(src *Machine, k int) *batchArena {
-	a := &batchArena{
-		slabSize:  len(src.slab),
-		freeCap:   len(src.slab),
-		readyCap:  len(src.slab),
-		ringSlots: len(src.doneRing),
-		robCap:    src.cfg.Resources[resource.ROB] + robArenaSlack,
-		pendCap:   src.cfg.Resources[resource.ROB] + src.cfg.IFQSize + pendingArenaSlack,
-		threads:   len(src.threads),
-	}
-	a.slab = make([]inflight, k*a.slabSize)
-	a.free = make([]int32, k*a.freeCap)
-	a.ready = make([]readyEnt, k*a.readyCap)
-	a.ring = make([]ref, k*a.ringSlots*ringSlotCap)
-	a.rob = make([]ref, k*a.threads*a.robCap)
-	a.pend = make([]isa.Inst, k*a.threads*a.pendCap)
-	return a
-}
-
-// stripe carves [i*size, (i+1)*size) with a hard capacity so an
-// overflowing append detaches onto its own backing instead of bleeding
-// into the next member's stripe.
-func stripe[T any](arena []T, i, size int) []T {
-	return arena[i*size : i*size : (i+1)*size]
-}
-
-// cloneIntoArena builds member i of a batch: a deep copy of src whose
-// hot slices are carved from the arena's member-major stripes. It
-// mirrors Machine.Clone except for where the backing arrays live.
-func cloneIntoArena(src *Machine, a *batchArena, i int) *Machine {
-	c := *src
-	c.rec = nil
-	c.res = src.res.Clone()
-	c.mem = src.mem.Clone()
-	c.bp = src.bp.Clone()
-
-	c.slab = append(stripe(a.slab, i, a.slabSize), src.slab...)
-	c.free = append(stripe(a.free, i, a.freeCap), src.free...)
-	c.readyQ = append(stripe(a.ready, i, a.readyCap), src.readyQ...)
-	c.doneRing = make([][]ref, a.ringSlots)
-	for s := range c.doneRing {
-		slot := stripe(a.ring, i*a.ringSlots+s, ringSlotCap)
-		c.doneRing[s] = append(slot, src.doneRing[s]...)
-	}
-	c.policy = src.policy.Clone()
-	c.fetchDisabled = append([]bool(nil), src.fetchDisabled...)
-	if src.inv != nil {
-		c.inv = src.inv.clone()
-	}
-	c.threads = make([]threadState, len(src.threads))
-	for t := range src.threads {
-		ts := src.threads[t]
-		ts.pending = append(stripe(a.pend, i*a.threads+t, a.pendCap), ts.pending...)
-		ts.rob = append(stripe(a.rob, i*a.threads+t, a.robCap), ts.rob...)
-		ts.stream = ts.stream.CloneStream()
-		c.threads[t] = ts
-	}
-	return &c
 }

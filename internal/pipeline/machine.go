@@ -11,7 +11,7 @@
 // any partitioned structure, exactly as described in Section 3.2 of the
 // paper.
 //
-// The entire machine state is deep-copyable via Clone, which is the
+// The entire machine state is deep-copyable via CloneInto, which is the
 // checkpoint primitive used by the paper's OFF-LINE exhaustive learning
 // and RAND-HILL algorithms: a clone replays the identical future
 // execution. To keep cloning structural, in-flight instructions live in a
@@ -376,103 +376,73 @@ func newRing(n int) [][]ref {
 
 // Clone returns a deep copy of the machine: an execution checkpoint.
 // Advancing the clone and the original produces identical, independent
-// executions. The telemetry recorder is deliberately NOT carried over: a
-// recorder observes one machine, and the checkpoint-based learners run
-// many speculative clones whose counters would pollute the real run's
-// attribution. Attach a fresh recorder to a clone if it should be traced.
-func (m *Machine) Clone() *Machine {
-	c := *m
-	c.rec = nil
-	c.res = m.res.Clone()
-	c.mem = m.mem.Clone()
-	c.bp = m.bp.Clone()
-	c.slab = append([]inflight(nil), m.slab...)
-	// Give the free list its full steady-state capacity up front so the
-	// clone's release path never re-allocates it.
-	c.free = make([]int32, len(m.free), len(m.slab))
-	copy(c.free, m.free)
-	c.readyQ = append([]readyEnt(nil), m.readyQ...)
-	c.doneRing = newRing(len(m.doneRing))
-	for i, evs := range m.doneRing {
-		c.doneRing[i] = append(c.doneRing[i], evs...)
-	}
-	c.policy = m.policy.Clone()
-	c.fetchDisabled = append([]bool(nil), m.fetchDisabled...)
-	if m.inv != nil {
-		c.inv = m.inv.clone()
-	}
-	c.threads = make([]threadState, len(m.threads))
-	for i := range m.threads {
-		t := m.threads[i]
-		t.pending = append([]isa.Inst(nil), t.pending...)
-		t.rob = append([]ref(nil), t.rob...)
-		t.stream = t.stream.CloneStream()
-		c.threads[i] = t
-	}
-	return &c
-}
+// executions. It is CloneInto(nil).
+func (m *Machine) Clone() *Machine { return m.CloneInto(nil) }
 
-// CloneInto copies the machine's state into dst, a machine previously
-// produced by Clone or CloneInto of a same-shaped machine (same config,
-// thread count, and structure sizes), and returns dst. It is the pooled
-// variant of Clone: every slice and table in dst is overwritten in place,
-// so a checkpoint loop that recycles trial machines performs no
-// steady-state allocation. dst's previous contents are destroyed; like
-// Clone, the telemetry recorder is not carried over. A nil dst falls back
-// to a fresh Clone, so `dst = src.CloneInto(dst)` is the idiomatic loop
-// body.
+// CloneInto copies the machine's state into dst and returns dst. It is
+// the only routine that copies a Machine, so it lists every field of
+// Machine and threadState; TestCloneFieldClassification fails when a new
+// field is not classified here.
+//
+// A nil dst yields a fresh machine. Otherwise dst must be a machine
+// previously produced by Clone or CloneInto of a same-shaped machine
+// (same config, thread count, and structure sizes): every slice and
+// table in dst is overwritten in place, so a checkpoint loop that
+// recycles trial machines performs no steady-state allocation, and
+// `dst = src.CloneInto(dst)` is the idiomatic loop body. dst's previous
+// contents are destroyed.
+//
+// The telemetry recorder is deliberately NOT carried over: a recorder
+// observes one machine, and the checkpoint-based learners run many
+// speculative clones whose counters would pollute the real run's
+// attribution. Attach a fresh recorder to a clone if it should be traced.
 func (m *Machine) CloneInto(dst *Machine) *Machine {
 	if dst == nil || dst == m {
-		return m.Clone()
-	}
-	if len(dst.threads) != len(m.threads) || len(dst.slab) != len(m.slab) ||
+		dst = &Machine{}
+	} else if len(dst.threads) != len(m.threads) || len(dst.slab) != len(m.slab) ||
 		len(dst.doneRing) != len(m.doneRing) {
 		panic("pipeline: CloneInto destination shape mismatch")
 	}
-	dst.cfg = m.cfg
-	dst.now = m.now
-	dst.cycles = m.cycles
-	dst.stallUntil = m.stallUntil
-	dst.dispStamp = m.dispStamp
+	old := *dst
+	*dst = *m
 	dst.rec = nil
-	dst.res = m.res.CloneInto(dst.res)
-	dst.mem = m.mem.CloneInto(dst.mem)
-	dst.bp = m.bp.CloneInto(dst.bp)
-	copy(dst.slab, m.slab)
-	dst.free = append(dst.free[:0], m.free...)
-	dst.readyQ = append(dst.readyQ[:0], m.readyQ...)
-	for i := range m.doneRing {
-		dst.doneRing[i] = append(dst.doneRing[i][:0], m.doneRing[i]...)
+	dst.res = m.res.CloneInto(old.res)
+	dst.mem = m.mem.CloneInto(old.mem)
+	dst.bp = m.bp.CloneInto(old.bp)
+	dst.fetchDisabled = append(old.fetchDisabled[:0], m.fetchDisabled...)
+	dst.slab = append(old.slab[:0], m.slab...)
+	// The free list gets its full steady-state capacity up front so the
+	// release path never re-allocates it.
+	if cap(old.free) < len(m.slab) {
+		old.free = make([]int32, 0, len(m.slab))
 	}
+	dst.free = append(old.free[:0], m.free...)
+	dst.readyQ = append(old.readyQ[:0], m.readyQ...)
+	if old.doneRing == nil {
+		old.doneRing = newRing(len(m.doneRing))
+	}
+	for i := range m.doneRing {
+		old.doneRing[i] = append(old.doneRing[i][:0], m.doneRing[i]...)
+	}
+	dst.doneRing = old.doneRing
 	dst.policy = m.policy.Clone()
-	copy(dst.fetchDisabled, m.fetchDisabled)
+	dst.inv = nil
 	if m.inv != nil {
 		dst.inv = m.inv.clone()
-	} else {
-		dst.inv = nil
+	}
+	if old.threads == nil {
+		old.threads = make([]threadState, len(m.threads))
 	}
 	for i := range m.threads {
-		s := &m.threads[i]
-		d := &dst.threads[i]
+		s, d := &m.threads[i], &old.threads[i]
 		pending, rob, stream := d.pending, d.rob, d.stream
 		*d = *s
 		d.pending = append(pending[:0], s.pending...)
 		d.rob = append(rob[:0], s.rob...)
-		d.stream = cloneStreamInto(s.stream, stream)
+		d.stream = s.stream.CloneStream(stream)
 	}
+	dst.threads = old.threads
 	return dst
-}
-
-// cloneStreamInto copies src's stream state into dst's backing storage
-// when the stream supports in-place cloning and dst is compatible,
-// falling back to an allocating CloneStream otherwise.
-func cloneStreamInto(src, dst isa.Stream) isa.Stream {
-	if r, ok := src.(isa.ReusableStream); ok && dst != nil {
-		if r.CloneStreamInto(dst) {
-			return dst
-		}
-	}
-	return src.CloneStream()
 }
 
 // Config returns the machine configuration.
