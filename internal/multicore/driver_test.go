@@ -181,6 +181,36 @@ func TestDriverSteepestPerCore(t *testing.T) {
 	}
 }
 
+// TestSteepestProbesLeaveL3Untouched: a steepest climber's probe wave
+// runs phantom executions of core 0 for ProbeCycles each. Preparing the
+// epoch must not advance the real system, so the shared L3's global and
+// per-core statistics (accesses, misses, occupancy) stay exactly as the
+// warm-up left them.
+func TestSteepestProbesLeaveL3Untouched(t *testing.T) {
+	sys := newTestSystem(t, 2)
+	sys.CycleN(20000)
+	renameRegs := resource.DefaultSizes()[resource.IntRename]
+	st := core.NewSteepest(ContextsPerCore, renameRegs, metrics.WeightedIPC)
+	st.M = sys.Core(0)
+	st.ProbeCycles = 4096
+	r := core.NewRunner(sys.Core(0), st, metrics.WeightedIPC)
+	r.ReferenceSingles = []float64{1, 1}
+	st.Singles = r.Singles
+
+	l3 := sys.L3()
+	global, core0 := l3.Stats, l3.CoreStats(0)
+	if global.Accesses == 0 {
+		t.Fatal("warm-up reached no L3 access; the check would be vacuous")
+	}
+	r.PrepareEpoch()
+	if l3.Stats != global {
+		t.Errorf("L3 stats moved during the probe wave: %+v -> %+v", global, l3.Stats)
+	}
+	if got := l3.CoreStats(0); got != core0 {
+		t.Errorf("core 0 L3 stats moved during the probe wave: %+v -> %+v", core0, got)
+	}
+}
+
 // TestDriverObservationsPopulated: after a reallocation point the
 // per-thread observations carry live IPC and stall signals.
 func TestDriverObservationsPopulated(t *testing.T) {
