@@ -74,10 +74,14 @@ obs-smoke:
 # to end: four applications, the ipc-pred pairing policy, thread
 # migrations live, and per-cycle invariant checks on every core. It
 # exercises the full -cores path of cmd/smtsim (see DESIGN.md
-# "Multi-core & allocation").
+# "Multi-core & allocation"), once under the default HILL-WIPC climbers
+# and once under STEEP-WIPC, whose per-core probe waves run detached
+# from the shared L3.
+MULTICORE_SMOKE = -check -cores 2 -pairing ipc-pred \
+	-workload art,mcf,fma3d,gcc -epochs 12 -epoch-size 8192 -warmup 1
 multicore-smoke:
-	$(GO) run ./cmd/smtsim -check -cores 2 -pairing ipc-pred \
-		-workload art,mcf,fma3d,gcc -epochs 12 -epoch-size 8192 -warmup 1 > /dev/null
+	$(GO) run ./cmd/smtsim $(MULTICORE_SMOKE) > /dev/null
+	$(GO) run ./cmd/smtsim $(MULTICORE_SMOKE) -tech STEEP-WIPC > /dev/null
 
 # benchsmoke runs the machine-speed benchmarks once — not a timing gate,
 # just proof they still compile and complete (the BenchmarkMachine

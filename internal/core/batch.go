@@ -7,8 +7,9 @@ import (
 	"smthill/internal/telemetry"
 )
 
-// DefaultTrialBatch is how many sibling trial machines the
-// checkpoint-based searchers advance together in one lock-step wave.
+// DefaultTrialBatch is how many sibling trial machines OffLine and
+// RandHill advance together in one lock-step wave (Steepest sizes its
+// batch to its T+1 probes).
 // Each member is a full machine checkpoint (~0.5MB), so the batch size
 // trades memory against shared-decode amortization; eight keeps the
 // working set modest while decode runs once per instruction instead of
@@ -16,21 +17,23 @@ import (
 const DefaultTrialBatch = 8
 
 // trialBatch owns the pipeline.MachineBatch a searcher evaluates its
-// candidate partitionings on. It replaces the former machinePool: the
-// batch's members ARE the recycled trial machines (refilled in place via
-// the pooled CloneInto path), and one spare machine circulates through
-// Swap so promoting a wave's winner never leaves a hole.
+// candidate partitionings on; it is the one trial evaluator behind
+// OffLine, RandHill, and Steepest. The batch's members are the recycled
+// trial machines (refilled in place via CloneInto), and one spare
+// machine circulates through Swap so promoting a wave's winner never
+// leaves a hole.
 type trialBatch struct {
 	b     *pipeline.MachineBatch
 	spare *pipeline.Machine
 }
 
 // startEpoch prepares the evaluation of one epoch's candidates from the
-// checkpoint src, lazily creating the batch on first use.
-func (tb *trialBatch) startEpoch(src *pipeline.Machine, epochSize int, base []uint64,
+// checkpoint src, lazily creating the batch of size members on first
+// use.
+func (tb *trialBatch) startEpoch(src *pipeline.Machine, size, epochSize int, base []uint64,
 	metric metrics.Kind, singles []float64, trace telemetry.Sink) *epochEval {
 	if tb.b == nil {
-		tb.b = pipeline.BatchFrom(src, DefaultTrialBatch)
+		tb.b = pipeline.BatchFrom(src, size)
 	}
 	return &epochEval{
 		tb: tb, src: src, epochSize: epochSize, base: base,
@@ -78,6 +81,10 @@ func (e *epochEval) eval1(s resource.Shares) Trial {
 // time: members are refilled in place from the checkpoint, configured,
 // advanced together over the shared decoded stream, and scored in
 // order. The returned slice holds this wave's trials.
+//
+// Every refilled member is detached from the shared L3, so a trial's
+// phantom execution on a multicore core cannot pollute the real
+// system's last-level cache (a no-op on single-core machines).
 func (e *epochEval) evalWave(cands []resource.Shares) []Trial {
 	start := len(e.trials)
 	b := e.tb.b
@@ -89,6 +96,7 @@ func (e *epochEval) evalWave(cands []resource.Shares) []Trial {
 		b.RefillN(e.src, n)
 		for j := 0; j < n; j++ {
 			m := b.Member(j)
+			m.Mem().DetachL3()
 			if e.trace != nil {
 				// Fresh per-trial recorder: the adopted winner's counters
 				// are exactly this epoch's stall attribution.
@@ -117,6 +125,17 @@ func (e *epochEval) evalWave(cands []resource.Shares) []Trial {
 		}
 	}
 	return e.trials[start:]
+}
+
+// probe ends a probe-only epoch, whose searcher keeps advancing its own
+// live machine: it returns the winning trial, and the winner's machine
+// becomes the spare that keeps the batch population closed.
+func (e *epochEval) probe() Trial {
+	if e.best == nil {
+		panic("core: epoch evaluated no trials")
+	}
+	e.tb.spare = e.best
+	return e.bestTrial
 }
 
 // adopt ends the epoch: the winning trial's machine is handed to the

@@ -51,11 +51,10 @@ type OffLineEpoch struct {
 	Trials []Trial
 }
 
-// OffLine is the Section 3.1 ideal: at each epoch boundary the machine is
-// checkpointed, the epoch is executed once for every candidate
-// partitioning, and the machine advances along the best-scoring trial.
-// Only the winning trial's execution time is charged.
-type OffLine struct {
+// checkpointSearch is the state OffLine and RandHill share: the machine
+// they advance along each epoch's winning trial, how trials are scored,
+// and the trial batch the candidates run on.
+type checkpointSearch struct {
 	// M is the machine; it is replaced by the winning trial's machine
 	// after each epoch.
 	M *pipeline.Machine
@@ -66,9 +65,6 @@ type OffLine struct {
 	Singles []float64
 	// EpochSize is the epoch length in cycles.
 	EpochSize int
-	// Stride is the enumeration step in rename registers (the paper
-	// uses 2; larger strides trade fidelity for simulation time).
-	Stride int
 	// Trace, when non-nil, receives one epoch event per epoch carrying
 	// the winning partition vector and the winning trial's
 	// stall-attribution counts (each trial clone gets a fresh recorder;
@@ -77,27 +73,63 @@ type OffLine struct {
 	// TraceLabel labels emitted events.
 	TraceLabel string
 
-	epoch      int
-	lastCommit []uint64
-	epochs     []OffLineEpoch
-	tb         trialBatch
-	cands      []resource.Shares
+	epoch int
+	tb    trialBatch
+}
+
+// startEpoch checkpoints the live machine for one epoch's search.
+func (c *checkpointSearch) startEpoch() *epochEval {
+	return c.tb.startEpoch(c.M, DefaultTrialBatch, c.EpochSize, commitCounts(c.M),
+		c.Metric, c.Singles, c.Trace)
+}
+
+// finishEpoch advances along the epoch's winning trial (the others cost
+// nothing), measures it, and reports the epoch.
+func (c *checkpointSearch) finishEpoch(ev *epochEval) OffLineEpoch {
+	best, bestTrial, trials := ev.adopt()
+	c.M = best
+	committed, ipc := measureEpoch(c.M, ev.base, c.EpochSize)
+	res := OffLineEpoch{
+		EpochResult: EpochResult{
+			Index:     c.epoch,
+			Shares:    bestTrial.Shares,
+			Committed: committed,
+			IPC:       ipc,
+			Score:     bestTrial.Score,
+		},
+		Trials: trials,
+	}
+	c.epoch++
+	emitIdealEpoch(c.Trace, c.TraceLabel, c.M, &res.EpochResult)
+	return res
+}
+
+// OffLine is the Section 3.1 ideal: at each epoch boundary the machine is
+// checkpointed, the epoch is executed once for every candidate
+// partitioning, and the machine advances along the best-scoring trial.
+// Only the winning trial's execution time is charged.
+type OffLine struct {
+	checkpointSearch
+	// Stride is the enumeration step in rename registers (the paper
+	// uses 2; larger strides trade fidelity for simulation time).
+	Stride int
+
+	cands []resource.Shares
 }
 
 // NewOffLine returns an OffLine searcher over m with the paper's default
 // epoch size and stride 2.
 func NewOffLine(m *pipeline.Machine, metric metrics.Kind, singles []float64) *OffLine {
 	return &OffLine{
-		M:         m,
-		Metric:    metric,
-		Singles:   singles,
-		EpochSize: DefaultEpochSize,
-		Stride:    2,
+		checkpointSearch: checkpointSearch{
+			M:         m,
+			Metric:    metric,
+			Singles:   singles,
+			EpochSize: DefaultEpochSize,
+		},
+		Stride: 2,
 	}
 }
-
-// Results returns the recorded epochs.
-func (o *OffLine) Results() []OffLineEpoch { return o.epochs }
 
 // measure computes the per-thread committed counts and IPCs of machine m
 // for the epoch that just ran, relative to baseline counts.
@@ -152,9 +184,7 @@ func emitIdealEpoch(sink telemetry.Sink, label string, m *pipeline.Machine, res 
 // greater tie-break, so the winner — and every figure derived from it —
 // is identical to the old one-trial-at-a-time loop.
 func (o *OffLine) RunEpoch() OffLineEpoch {
-	base := commitCounts(o.M)
 	total := o.M.Resources().Sizes()[resource.IntRename]
-
 	o.cands = o.cands[:0]
 	EnumerateShares(o.M.Threads(), total, o.Stride, func(s resource.Shares) {
 		o.cands = append(o.cands, s)
@@ -162,26 +192,9 @@ func (o *OffLine) RunEpoch() OffLineEpoch {
 	if len(o.cands) == 0 {
 		panic("core: share enumeration produced no trials")
 	}
-
-	ev := o.tb.startEpoch(o.M, o.EpochSize, base, o.Metric, o.Singles, o.Trace)
+	ev := o.startEpoch()
 	ev.evalWave(o.cands)
-	best, bestTrial, trials := ev.adopt()
-	o.M = best // advance along the winning trial; others cost nothing
-	committed, ipc := measureEpoch(o.M, base, o.EpochSize)
-	res := OffLineEpoch{
-		EpochResult: EpochResult{
-			Index:     o.epoch,
-			Shares:    bestTrial.Shares,
-			Committed: committed,
-			IPC:       ipc,
-			Score:     bestTrial.Score,
-		},
-		Trials: trials,
-	}
-	o.epoch++
-	o.epochs = append(o.epochs, res)
-	emitIdealEpoch(o.Trace, o.TraceLabel, o.M, &res.EpochResult)
-	return res
+	return o.finishEpoch(ev)
 }
 
 // Run executes n epochs.
@@ -199,44 +212,34 @@ func (o *OffLine) Run(n int) []OffLineEpoch {
 // restarted from random anchors, bounded by a total trial budget of
 // MaxIters outer-loop iterations (the paper uses 128).
 type RandHill struct {
-	M         *pipeline.Machine
-	Metric    metrics.Kind
-	Singles   []float64
-	EpochSize int
+	checkpointSearch
 	// Delta is the hill step (Figure 8's 4).
 	Delta int
 	// MaxIters bounds the total number of trials per epoch.
 	MaxIters int
 	// Seed makes the random restarts deterministic.
 	Seed uint64
-	// Trace and TraceLabel mirror OffLine's epoch-event reporting.
-	Trace      telemetry.Sink
-	TraceLabel string
 
 	rng        rng.Rng
 	seeded     bool
-	epoch      int
-	epochs     []OffLineEpoch
 	lastAnchor resource.Shares
-	tb         trialBatch
 	dirs       []resource.Shares
 }
 
 // NewRandHill returns a RandHill searcher with the paper's parameters.
 func NewRandHill(m *pipeline.Machine, metric metrics.Kind, singles []float64) *RandHill {
 	return &RandHill{
-		M:         m,
-		Metric:    metric,
-		Singles:   singles,
-		EpochSize: DefaultEpochSize,
-		Delta:     DefaultDelta,
-		MaxIters:  128,
-		Seed:      1,
+		checkpointSearch: checkpointSearch{
+			M:         m,
+			Metric:    metric,
+			Singles:   singles,
+			EpochSize: DefaultEpochSize,
+		},
+		Delta:    DefaultDelta,
+		MaxIters: 128,
+		Seed:     1,
 	}
 }
-
-// Results returns the recorded epochs.
-func (r *RandHill) Results() []OffLineEpoch { return r.epochs }
 
 // randomShares draws a random valid partitioning.
 func (r *RandHill) randomShares(threads, total int) resource.Shares {
@@ -270,11 +273,10 @@ func (r *RandHill) RunEpoch() OffLineEpoch {
 		r.rng = rng.New(r.Seed)
 		r.seeded = true
 	}
-	base := commitCounts(r.M)
 	threads := r.M.Threads()
 	total := r.M.Resources().Sizes()[resource.IntRename]
 
-	ev := r.tb.startEpoch(r.M, r.EpochSize, base, r.Metric, r.Singles, r.Trace)
+	ev := r.startEpoch()
 
 	anchor := r.lastAnchor
 	if anchor == nil {
@@ -309,23 +311,8 @@ func (r *RandHill) RunEpoch() OffLineEpoch {
 		}
 	}
 
-	best, bestTrial, trials := ev.adopt()
-	r.M = best
-	r.lastAnchor = bestTrial.Shares
-	committed, ipc := measureEpoch(r.M, base, r.EpochSize)
-	res := OffLineEpoch{
-		EpochResult: EpochResult{
-			Index:     r.epoch,
-			Shares:    bestTrial.Shares,
-			Committed: committed,
-			IPC:       ipc,
-			Score:     bestTrial.Score,
-		},
-		Trials: trials,
-	}
-	r.epoch++
-	r.epochs = append(r.epochs, res)
-	emitIdealEpoch(r.Trace, r.TraceLabel, r.M, &res.EpochResult)
+	res := r.finishEpoch(ev)
+	r.lastAnchor = res.Shares
 	return res
 }
 

@@ -1,15 +1,13 @@
 package core
 
 import (
-	"math"
-
 	"smthill/internal/metrics"
 	"smthill/internal/pipeline"
 	"smthill/internal/resource"
 )
 
-// Steepest is the batched steepest-ascent climber (ROADMAP item 3, made
-// affordable by pipeline.MachineBatch). Where HillClimber dedicates one
+// Steepest is the batched steepest-ascent climber, made affordable by
+// pipeline.MachineBatch. Where HillClimber dedicates one
 // live epoch to each of the T trial directions — a round of T epochs per
 // anchor move, during which the machine runs whatever it is testing —
 // Steepest evaluates the anchor and all T ±Delta shifts simultaneously
@@ -43,9 +41,8 @@ type Steepest struct {
 	threads int
 	total   int
 	anchor  resource.Shares
-	b       *pipeline.MachineBatch
+	tb      trialBatch
 	cands   []resource.Shares
-	base    []uint64
 }
 
 // NewSteepest returns a steepest-ascent climber for a machine with the
@@ -96,9 +93,6 @@ func (s *Steepest) Decide(prev *EpochResult) resource.Shares {
 	if s.M == nil {
 		panic("core: Steepest.Decide with no machine bound; set M to the runner's machine")
 	}
-	if s.b == nil {
-		s.b = pipeline.BatchFrom(s.M, s.threads+1)
-	}
 	probe := s.ProbeCycles
 	if probe <= 0 {
 		probe = DefaultEpochSize
@@ -107,35 +101,12 @@ func (s *Steepest) Decide(prev *EpochResult) resource.Shares {
 	for d := 0; d < s.threads; d++ {
 		s.cands = append(s.cands, s.anchor.Shift(d, s.Delta))
 	}
-	n := len(s.cands)
-
-	if s.base == nil {
-		s.base = make([]uint64, s.threads)
-	}
-	for th := range s.base {
-		s.base[th] = s.M.Committed(th)
-	}
-	s.b.RefillN(s.M, n)
-	for j := 0; j < n; j++ {
-		m := s.b.Member(j)
-		// Speculative probes must not pollute shared state: a multicore
-		// member's phantom execution is cut off from the real system's L3.
-		m.Mem().DetachL3()
-		m.Resources().SetShares(s.cands[j])
-	}
-	s.b.CycleFirstN(n, probe)
-
 	var singles []float64
 	if s.Singles != nil {
 		singles = s.Singles()
 	}
-	best, bestScore := 0, math.Inf(-1)
-	for j := 0; j < n; j++ {
-		_, ipc := measureEpoch(s.b.Member(j), s.base, probe)
-		if score := s.Metric.Eval(ipc, singles); score > bestScore {
-			best, bestScore = j, score
-		}
-	}
-	s.anchor = s.cands[best]
+	ev := s.tb.startEpoch(s.M, s.threads+1, probe, commitCounts(s.M), s.Metric, singles, nil)
+	ev.evalWave(s.cands)
+	s.anchor = ev.probe().Shares
 	return s.anchor
 }

@@ -66,15 +66,6 @@ func Paper() Config {
 	return c
 }
 
-// soloIPC measures an application's stand-alone IPC on a fresh machine
-// with full resources.
-func soloIPC(app workload.App, cycles int) float64 {
-	w := workload.Workload{Apps: []string{app.Name}}
-	m := w.NewMachine(nil)
-	m.CycleN(cycles)
-	return float64(m.Committed(0)) / float64(cycles)
-}
-
 // Singles returns the stand-alone reference IPC of each member of w. The
 // runs go through the sweep engine, so repeated requests for the same
 // application (across workloads, experiments, or cached invocations) are
@@ -138,9 +129,6 @@ func runHill(cfg Config, w workload.Workload, feedback metrics.Kind) []float64 {
 	r.Run(cfg.Epochs)
 	return r.TotalsSince(0)
 }
-
-// pipelinePolicy returns a fresh per-cycle policy instance by name.
-func pipelinePolicy(name string) pipeline.Policy { return policy.ByName(name) }
 
 // commitVector snapshots per-thread committed counts.
 func commitVector(m *pipeline.Machine) []uint64 {

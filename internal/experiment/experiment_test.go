@@ -64,7 +64,7 @@ func TestTable2TypesAreSeparated(t *testing.T) {
 	ilpMin = 99
 	for _, name := range workload.Names() {
 		app := workload.Get(name)
-		ipc := soloIPC(app, cycles)
+		ipc := core.SoloIPC(workload.Workload{Apps: []string{name}}.NewMachine(nil), cycles)
 		if app.Type == workload.ILP && ipc < ilpMin {
 			ilpMin = ipc
 		}

@@ -93,8 +93,8 @@ func Figure11TwoThread(cfg Config, loads []workload.Workload) []Figure11Row {
 		rows = append(rows, Figure11Row{
 			Workload: w.Name(), Group: w.Group,
 			Scores: map[string]float64{
-				"HILL-WIPC": endScore(metrics.WeightedIPC, runs[hillKey(cfg, w, metrics.WeightedIPC)], singles),
-				"OFF-LINE":  endScore(metrics.WeightedIPC, runs[offLineKey(cfg, w)], singles),
+				"HILL-WIPC": metrics.WeightedIPC.Eval(runs[hillKey(cfg, w, metrics.WeightedIPC)], singles),
+				"OFF-LINE":  metrics.WeightedIPC.Eval(runs[offLineKey(cfg, w)], singles),
 			},
 			Derived:   label,
 			Predicted: PredictBehaviour(label),
@@ -123,9 +123,9 @@ func Figure11FourThread(cfg Config, loads []workload.Workload) []Figure11Row {
 		rows = append(rows, Figure11Row{
 			Workload: w.Name(), Group: w.Group,
 			Scores: map[string]float64{
-				"DCRA":      endScore(metrics.WeightedIPC, runs[baselineKey(cfg, w, "DCRA")], singles),
-				"HILL-WIPC": endScore(metrics.WeightedIPC, runs[hillKey(cfg, w, metrics.WeightedIPC)], singles),
-				"RAND-HILL": endScore(metrics.WeightedIPC, runs[randHillKey(cfg, w)], singles),
+				"DCRA":      metrics.WeightedIPC.Eval(runs[baselineKey(cfg, w, "DCRA")], singles),
+				"HILL-WIPC": metrics.WeightedIPC.Eval(runs[hillKey(cfg, w, metrics.WeightedIPC)], singles),
+				"RAND-HILL": metrics.WeightedIPC.Eval(runs[randHillKey(cfg, w)], singles),
 			},
 			Derived:   label,
 			Predicted: PredictBehaviour(label),

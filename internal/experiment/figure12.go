@@ -5,7 +5,6 @@ import (
 
 	"smthill/internal/core"
 	"smthill/internal/metrics"
-	"smthill/internal/pipeline"
 	"smthill/internal/resource"
 	"smthill/internal/workload"
 )
@@ -49,28 +48,20 @@ func Figure12(cfg Config, w workload.Workload) []Figure12Row {
 	r.EpochSize = cfg.EpochSize
 	r.ReferenceSingles = singles
 
-	total := m.Resources().Sizes()[renameKind]
+	// The exhaustive search runs on an OFF-LINE searcher re-synchronised
+	// to the hill-climber's machine at every epoch boundary.
+	o := core.NewOffLine(nil, metrics.WeightedIPC, singles)
+	o.EpochSize = cfg.EpochSize
+	o.Stride = cfg.OffLineStride
 	rows := make([]Figure12Row, 0, cfg.Epochs)
-	var scratch *pipeline.Machine // reused across probe trials via CloneInto
 	for e := 0; e < cfg.Epochs; e++ {
-		// Exhaustive search of this epoch from the hill-climber's state.
-		base := commitVector(m)
-		var curve []float64
-		bestShare, bestScore := 0, -1.0
-		core.EnumerateShares(w.Threads(), total, cfg.OffLineStride, func(s resource.Shares) {
-			scratch = m.CloneInto(scratch)
-			trial := scratch
-			trial.Resources().SetShares(s)
-			trial.CycleN(cfg.EpochSize)
-			score := metrics.WeightedIPC.Eval(ipcSince(trial, base, cfg.EpochSize), singles)
-			curve = append(curve, score)
-			if score > bestScore {
-				bestScore, bestShare = score, s[0]
-			}
-		})
-		if bestScore > 0 {
-			for i := range curve {
-				curve[i] /= bestScore
+		o.M = m.CloneInto(o.M)
+		best := o.RunEpoch()
+		curve := make([]float64, len(best.Trials))
+		for i, tr := range best.Trials {
+			curve[i] = tr.Score
+			if best.Score > 0 {
+				curve[i] /= best.Score
 			}
 		}
 		res := r.RunEpoch()
@@ -79,7 +70,7 @@ func Figure12(cfg Config, w workload.Workload) []Figure12Row {
 			hillShare = res.Shares[0]
 		}
 		rows = append(rows, Figure12Row{
-			Epoch: e, HillShare: hillShare, BestShare: bestShare, Curve: curve,
+			Epoch: e, HillShare: hillShare, BestShare: best.Shares[0], Curve: curve,
 		})
 	}
 	return rows

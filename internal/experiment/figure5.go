@@ -6,6 +6,7 @@ import (
 	"smthill/internal/core"
 	"smthill/internal/metrics"
 	"smthill/internal/pipeline"
+	"smthill/internal/policy"
 	"smthill/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func Figure5(cfg Config, w workload.Workload) []Figure5Row {
 		for _, polName := range baselineNames() {
 			scratch = o.M.CloneInto(scratch)
 			trial := scratch
-			trial.SetPolicy(pipelinePolicy(polName))
+			trial.SetPolicy(policy.ByName(polName))
 			trial.Resources().ClearPartitions()
 			base := commitVector(trial)
 			trial.CycleN(cfg.EpochSize)

@@ -20,12 +20,6 @@ type CompareRow struct {
 	Scores map[string]float64
 }
 
-// endScore evaluates the end metric from aggregate per-thread IPCs and
-// the reference stand-alone IPCs.
-func endScore(metric metrics.Kind, ipc, singles []float64) float64 {
-	return metric.Eval(ipc, singles)
-}
-
 // runOffLine measures the OFF-LINE ideal on w and returns per-thread IPCs
 // over the measured epochs.
 func runOffLine(cfg Config, w workload.Workload, singles []float64) []float64 {
@@ -88,9 +82,9 @@ func Figure4(cfg Config, loads []workload.Workload) []CompareRow {
 		singles := singlesFor(solos, w)
 		scores := map[string]float64{}
 		for _, pol := range baselineNames() {
-			scores[pol] = endScore(metrics.WeightedIPC, runs[baselineKey(cfg, w, pol)], singles)
+			scores[pol] = metrics.WeightedIPC.Eval(runs[baselineKey(cfg, w, pol)], singles)
 		}
-		scores["OFF-LINE"] = endScore(metrics.WeightedIPC, runs[offLineKey(cfg, w)], singles)
+		scores["OFF-LINE"] = metrics.WeightedIPC.Eval(runs[offLineKey(cfg, w)], singles)
 		rows = append(rows, CompareRow{Workload: w.Name(), Group: w.Group, Scores: scores})
 	}
 	return rows
@@ -114,9 +108,9 @@ func Figure9(cfg Config, loads []workload.Workload) []CompareRow {
 		singles := singlesFor(solos, w)
 		scores := map[string]float64{}
 		for _, pol := range baselineNames() {
-			scores[pol] = endScore(metrics.WeightedIPC, runs[baselineKey(cfg, w, pol)], singles)
+			scores[pol] = metrics.WeightedIPC.Eval(runs[baselineKey(cfg, w, pol)], singles)
 		}
-		scores["HILL"] = endScore(metrics.WeightedIPC, runs[hillKey(cfg, w, metrics.WeightedIPC)], singles)
+		scores["HILL"] = metrics.WeightedIPC.Eval(runs[hillKey(cfg, w, metrics.WeightedIPC)], singles)
 		rows = append(rows, CompareRow{Workload: w.Name(), Group: w.Group, Scores: scores})
 	}
 	return rows

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"smthill/internal/core"
 	"smthill/internal/metrics"
 	"smthill/internal/sweep"
 	"smthill/internal/workload"
@@ -87,7 +88,8 @@ func soloJob(app string, cycles int) sweep.Job[float64] {
 	return sweep.Job[float64]{
 		Key: soloKey(app, cycles),
 		Run: func(context.Context) (float64, error) {
-			return soloIPC(workload.Get(app), cycles), nil
+			m := workload.Workload{Apps: []string{app}}.NewMachine(nil)
+			return core.SoloIPC(m, cycles), nil
 		},
 	}
 }

@@ -79,8 +79,8 @@ func Section5(cfg Config, loads []workload.Workload) []Section5Row {
 			Workload:  w.Name(),
 			Group:     w.Group,
 			Behaviour: PredictBehaviour(DeriveLabel(w)),
-			Hill:      endScore(metrics.WeightedIPC, hills[hillKey(cfg, w, metrics.WeightedIPC)], singles),
-			PhaseHill: endScore(metrics.WeightedIPC, ph.IPC, singles),
+			Hill:      metrics.WeightedIPC.Eval(hills[hillKey(cfg, w, metrics.WeightedIPC)], singles),
+			PhaseHill: metrics.WeightedIPC.Eval(ph.IPC, singles),
 			Phases:    ph.Phases,
 			Jumps:     ph.Jumps,
 		})

@@ -367,7 +367,12 @@ func Build(s Spec) (*pipeline.Machine, core.Distributor, metrics.Kind, error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return buildWorkload(w, s)
+	r, err := buildWorkload(w, s)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	bind(r, nil, "")
+	return r.M, r.Dist, r.Metric, nil
 }
 
 // Resolve parses (and, with a non-zero Seed, reseeds) the spec's
@@ -383,40 +388,70 @@ func (s Spec) Resolve() (workload.Workload, error) {
 	return w, nil
 }
 
-// buildWorkload wires the machine for an already-resolved workload.
-// s must be normalized and shape-valid.
-func buildWorkload(w workload.Workload, s Spec) (*pipeline.Machine, core.Distributor, metrics.Kind, error) {
+// technique constructs what a technique name selects for a machine (or
+// one multicore core) running threads contexts: the per-cycle policy
+// (nil for the default ICOUNT fetch), the epoch distributor, and the
+// feedback metric. s must be normalized.
+func technique(s Spec, threads int) (pipeline.Policy, core.Distributor, metrics.Kind, error) {
 	renameRegs := resource.DefaultSizes()[resource.IntRename]
+	hill := func(metric metrics.Kind) *core.HillClimber {
+		h := core.NewHillClimber(threads, renameRegs, metric)
+		h.Delta = s.Delta
+		return h
+	}
 	switch s.Tech {
 	case "ICOUNT", "STALL", "FLUSH", "DCRA":
-		m := w.NewMachine(policy.ByName(s.Tech))
-		return m, core.None{Label: s.Tech}, metrics.WeightedIPC, nil
+		return policy.ByName(s.Tech), core.None{Label: s.Tech}, metrics.WeightedIPC, nil
 	case "STATIC":
-		return w.NewMachine(nil), core.NewStatic(w.Threads(), renameRegs), metrics.WeightedIPC, nil
+		return nil, core.NewStatic(threads, renameRegs), metrics.WeightedIPC, nil
 	case "HILL-IPC":
-		h := core.NewHillClimber(w.Threads(), renameRegs, metrics.AvgIPC)
-		h.Delta = s.Delta
-		return w.NewMachine(nil), h, metrics.AvgIPC, nil
+		return nil, hill(metrics.AvgIPC), metrics.AvgIPC, nil
 	case "HILL-WIPC":
-		h := core.NewHillClimber(w.Threads(), renameRegs, metrics.WeightedIPC)
-		h.Delta = s.Delta
-		return w.NewMachine(nil), h, metrics.WeightedIPC, nil
+		return nil, hill(metrics.WeightedIPC), metrics.WeightedIPC, nil
 	case "HILL-HWIPC":
-		h := core.NewHillClimber(w.Threads(), renameRegs, metrics.HmeanWeightedIPC)
-		h.Delta = s.Delta
-		return w.NewMachine(nil), h, metrics.HmeanWeightedIPC, nil
+		return nil, hill(metrics.HmeanWeightedIPC), metrics.HmeanWeightedIPC, nil
 	case "HILL-PHASE":
-		ph := core.NewPhaseHill(w.Threads(), renameRegs, metrics.WeightedIPC)
+		ph := core.NewPhaseHill(threads, renameRegs, metrics.WeightedIPC)
 		ph.Hill.Delta = s.Delta
-		return w.NewMachine(nil), ph, metrics.WeightedIPC, nil
+		return nil, ph, metrics.WeightedIPC, nil
 	case "STEEP-WIPC":
-		st := core.NewSteepest(w.Threads(), renameRegs, metrics.WeightedIPC)
+		st := core.NewSteepest(threads, renameRegs, metrics.WeightedIPC)
 		st.Delta = s.Delta
-		m := w.NewMachine(nil)
-		st.M = m
-		return m, st, metrics.WeightedIPC, nil
+		return nil, st, metrics.WeightedIPC, nil
 	}
 	return nil, nil, 0, fmt.Errorf("simjob: unknown technique %q", s.Tech)
+}
+
+// buildWorkload builds the machine for an already-resolved workload and
+// a runner driving it under the spec's technique. s must be normalized
+// and shape-valid.
+func buildWorkload(w workload.Workload, s Spec) (*core.Runner, error) {
+	pol, dist, feedback, err := technique(s, w.Threads())
+	if err != nil {
+		return nil, err
+	}
+	r := core.NewRunner(w.NewMachine(pol), dist, feedback)
+	r.EpochSize = s.EpochSize
+	return r, nil
+}
+
+// bind reports a runner and its distributor's decisions to sink under
+// label, and points a steepest climber's probes at the runner's machine
+// and stand-alone IPC estimates.
+func bind(r *core.Runner, sink telemetry.Sink, label string) {
+	r.Trace = sink
+	r.TraceLabel = label
+	switch d := r.Dist.(type) {
+	case *core.HillClimber:
+		d.Trace = sink
+		d.TraceLabel = label
+	case *core.PhaseHill:
+		d.Hill.Trace = sink
+		d.Hill.TraceLabel = label
+	case *core.Steepest:
+		d.M = r.M
+		d.Singles = r.Singles
+	}
 }
 
 // reseed rebuilds w with every member application's stream seed
@@ -465,23 +500,15 @@ func RunWorkload(ctx context.Context, w workload.Workload, s Spec, sink telemetr
 	if s.Cores > 1 {
 		return runMulticore(ctx, w, s, sink, checks)
 	}
-	m, dist, feedback, err := buildWorkload(w, s)
+	r, err := buildWorkload(w, s)
 	if err != nil {
 		return Result{}, err
 	}
+	m := r.M
 	if checks {
 		m.SetInvariantChecks(true)
 	}
-
-	label := w.Name() + "/" + dist.Name()
-	switch d := dist.(type) {
-	case *core.HillClimber:
-		d.Trace = sink
-		d.TraceLabel = label
-	case *core.PhaseHill:
-		d.Hill.Trace = sink
-		d.Hill.TraceLabel = label
-	}
+	bind(r, sink, w.Name()+"/"+r.Dist.Name())
 	if sink != nil {
 		m.SetRecorder(telemetry.NewRecorder(m.Threads()))
 	}
@@ -491,13 +518,6 @@ func RunWorkload(ctx context.Context, w workload.Workload, s Spec, sink telemetr
 			return Result{}, err
 		}
 		m.CycleN(s.EpochSize)
-	}
-	r := core.NewRunner(m, dist, feedback)
-	r.EpochSize = s.EpochSize
-	r.Trace = sink
-	r.TraceLabel = label
-	if st, ok := dist.(*core.Steepest); ok {
-		st.Singles = r.Singles
 	}
 	for i := 0; i < s.Epochs; i++ {
 		if err := ctx.Err(); err != nil {
