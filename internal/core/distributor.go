@@ -14,6 +14,8 @@
 //     built on machine checkpointing.
 //   - RandHill: the multi-start hill-climbing ideal used for 4-thread
 //     workloads (Section 4.3).
+//   - Steepest: a steepest-ascent climber that probes the anchor and all
+//     T ±Delta shifts on checkpointed clones before every live epoch.
 //   - PhaseHill: the Section 5 extension driven by phase detection and
 //     prediction (internal/phase).
 package core

@@ -7,9 +7,9 @@ import (
 )
 
 // Steepest is the batched steepest-ascent climber, made affordable by
-// pipeline.MachineBatch. Where HillClimber dedicates one
-// live epoch to each of the T trial directions — a round of T epochs per
-// anchor move, during which the machine runs whatever it is testing —
+// pipeline.MachineBatch. Where HillClimber dedicates one live epoch to
+// each of the T trial directions — a round of T epochs per anchor move,
+// during which the machine runs whatever it is testing —
 // Steepest evaluates the anchor and all T ±Delta shifts simultaneously
 // on a batch of speculative clones of the live machine, then partitions
 // the next live epoch with the measured argmax. Every live epoch runs
