@@ -46,14 +46,8 @@ func widthAt(scores []float64, level float64, stride int) int {
 	return (hi - lo + 1) * stride
 }
 
-// hillWidthKey identifies one workload's hill-width measurement. It is
-// an OFF-LINE run reduced to mean widths, so it shares OFF-LINE's
-// dependencies (the levels themselves are constants, covered by
-// resultsVersion).
 func hillWidthKey(cfg Config, w workload.Workload) string {
-	return fmt.Sprintf("v%d|hillwidth|wl=%s|es=%d|ep=%d|wu=%d|stride=%d|sc=%d",
-		resultsVersion, w.Name(), cfg.EpochSize, cfg.Epochs, cfg.WarmupEpochs,
-		cfg.OffLineStride, cfg.SoloCycles)
+	return spec{family: "hillwidth", cfg: cfg, wl: w.Name()}.key()
 }
 
 // hillWidthJob measures one workload's mean per-epoch hill widths by

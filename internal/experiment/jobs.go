@@ -2,19 +2,12 @@ package experiment
 
 import (
 	"context"
-	"fmt"
-	"strconv"
 
 	"smthill/internal/core"
 	"smthill/internal/metrics"
 	"smthill/internal/sweep"
 	"smthill/internal/workload"
 )
-
-// resultsVersion is folded into every job key. Bump it whenever the
-// simulator or the experiment semantics change in a result-affecting
-// way, so stale disk-cache entries from older builds are never reused.
-const resultsVersion = 1
 
 // engine executes every experiment's simulation jobs. The default runs
 // parallel with no disk cache; cmd/experiments installs a configured one
@@ -63,27 +56,11 @@ func mustRun[R any](jobs []sweep.Job[R]) map[string]R {
 	return res
 }
 
-// Job keys encode the workload, technique, and exactly the Config fields
-// the run's result depends on — no more, so results shared between
-// experiments (solo runs, baseline runs) hit the memo and cache across
-// differing irrelevant fields; no fewer, or the cache would serve wrong
-// results. Constants compiled into the simulator (core.DefaultDelta,
-// sampling defaults, hill-width levels, ...) are covered by
-// resultsVersion.
-
-// keyPrefix stamps a job family with the results version.
-func keyPrefix(family string) string {
-	return fmt.Sprintf("v%d|%s", resultsVersion, family)
-}
-
-// soloKey identifies a stand-alone reference run of one application.
 func soloKey(app string, cycles int) string {
-	return sweep.KeyFrom(keyPrefix("solo"), map[string]string{
-		"app":    app,
-		"cycles": strconv.Itoa(cycles),
-	})
+	return spec{family: "solo", app: app, cycles: cycles}.key()
 }
 
+// soloJob measures the stand-alone reference IPC of one application.
 func soloJob(app string, cycles int) sweep.Job[float64] {
 	return sweep.Job[float64]{
 		Key: soloKey(app, cycles),
@@ -94,9 +71,11 @@ func soloJob(app string, cycles int) sweep.Job[float64] {
 	}
 }
 
-// soloBatch computes the stand-alone IPC of every distinct member
-// application of loads through the engine, returning app name -> IPC.
-func soloBatch(cfg Config, loads []workload.Workload) map[string]float64 {
+// soloBatchOn computes the stand-alone IPC of every distinct member
+// application of loads on eng, returning app name -> IPC. The per-app
+// runs are solo jobs, so they memoise and cache across experiments and
+// across the fabric's by-key executions alike.
+func soloBatchOn(ctx context.Context, eng *sweep.Engine, cfg Config, loads []workload.Workload) (map[string]float64, error) {
 	var jobs []sweep.Job[float64]
 	seen := map[string]bool{}
 	for _, w := range loads {
@@ -107,10 +86,23 @@ func soloBatch(cfg Config, loads []workload.Workload) map[string]float64 {
 			}
 		}
 	}
-	res := mustRun(jobs)
+	res, err := sweep.Run(ctx, eng, jobs)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]float64, len(seen))
 	for app := range seen {
 		out[app] = res[soloKey(app, cfg.SoloCycles)]
+	}
+	return out, nil
+}
+
+// soloBatch is soloBatchOn against the installed engine and context; it
+// panics on failure as mustRun does.
+func soloBatch(cfg Config, loads []workload.Workload) map[string]float64 {
+	out, err := soloBatchOn(runCtx, engine, cfg, loads)
+	if err != nil {
+		panic(err)
 	}
 	return out
 }
@@ -125,16 +117,8 @@ func singlesFor(solos map[string]float64, w workload.Workload) []float64 {
 	return out
 }
 
-// baselineKey identifies one baseline-policy run. Baselines use no
-// learning and no sampling, so only the epoch geometry matters.
 func baselineKey(cfg Config, w workload.Workload, pol string) string {
-	return sweep.KeyFrom(keyPrefix("baseline"), map[string]string{
-		"wl":  w.Name(),
-		"pol": pol,
-		"es":  strconv.Itoa(cfg.EpochSize),
-		"ep":  strconv.Itoa(cfg.Epochs),
-		"wu":  strconv.Itoa(cfg.WarmupEpochs),
-	})
+	return spec{family: "baseline", cfg: cfg, wl: w.Name(), pol: pol}.key()
 }
 
 func baselineJob(cfg Config, w workload.Workload, pol string) sweep.Job[[]float64] {
@@ -146,17 +130,8 @@ func baselineJob(cfg Config, w workload.Workload, pol string) sweep.Job[[]float6
 	}
 }
 
-// hillKey identifies one on-line hill-climbing run. Hill-climbing
-// samples SingleIPC on-line (it never sees reference singles), so
-// SoloCycles does not enter the key.
 func hillKey(cfg Config, w workload.Workload, feedback metrics.Kind) string {
-	return sweep.KeyFrom(keyPrefix("hill"), map[string]string{
-		"wl":     w.Name(),
-		"metric": feedback.String(),
-		"es":     strconv.Itoa(cfg.EpochSize),
-		"ep":     strconv.Itoa(cfg.Epochs),
-		"wu":     strconv.Itoa(cfg.WarmupEpochs),
-	})
+	return spec{family: "hill", cfg: cfg, wl: w.Name(), metric: feedback.String()}.key()
 }
 
 func hillJob(cfg Config, w workload.Workload, feedback metrics.Kind) sweep.Job[[]float64] {
@@ -168,18 +143,8 @@ func hillJob(cfg Config, w workload.Workload, feedback metrics.Kind) sweep.Job[[
 	}
 }
 
-// offLineKey identifies one OFF-LINE ideal run. Its trial scoring reads
-// the reference singles, which are fully determined by the workload's
-// apps plus SoloCycles, so SoloCycles stands in for them in the key.
 func offLineKey(cfg Config, w workload.Workload) string {
-	return sweep.KeyFrom(keyPrefix("offline"), map[string]string{
-		"wl":     w.Name(),
-		"es":     strconv.Itoa(cfg.EpochSize),
-		"ep":     strconv.Itoa(cfg.Epochs),
-		"wu":     strconv.Itoa(cfg.WarmupEpochs),
-		"stride": strconv.Itoa(cfg.OffLineStride),
-		"sc":     strconv.Itoa(cfg.SoloCycles),
-	})
+	return spec{family: "offline", cfg: cfg, wl: w.Name()}.key()
 }
 
 func offLineJob(cfg Config, w workload.Workload, singles []float64) sweep.Job[[]float64] {
@@ -191,17 +156,8 @@ func offLineJob(cfg Config, w workload.Workload, singles []float64) sweep.Job[[]
 	}
 }
 
-// randHillKey identifies one RAND-HILL ideal run (same singles
-// dependency as OFF-LINE).
 func randHillKey(cfg Config, w workload.Workload) string {
-	return sweep.KeyFrom(keyPrefix("randhill"), map[string]string{
-		"wl":    w.Name(),
-		"es":    strconv.Itoa(cfg.EpochSize),
-		"ep":    strconv.Itoa(cfg.Epochs),
-		"wu":    strconv.Itoa(cfg.WarmupEpochs),
-		"iters": strconv.Itoa(cfg.RandHillIters),
-		"sc":    strconv.Itoa(cfg.SoloCycles),
-	})
+	return spec{family: "randhill", cfg: cfg, wl: w.Name()}.key()
 }
 
 func randHillJob(cfg Config, w workload.Workload, singles []float64) sweep.Job[[]float64] {

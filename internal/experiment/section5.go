@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"smthill/internal/core"
@@ -34,11 +33,8 @@ type phaseHillResult struct {
 	Jumps  int
 }
 
-// phaseHillKey identifies one Section 5 run; like plain hill-climbing it
-// samples SingleIPC on-line, so only the epoch geometry matters.
 func phaseHillKey(cfg Config, w workload.Workload) string {
-	return fmt.Sprintf("v%d|phasehill|wl=%s|es=%d|ep=%d|wu=%d",
-		resultsVersion, w.Name(), cfg.EpochSize, cfg.Epochs, cfg.WarmupEpochs)
+	return spec{family: "phasehill", cfg: cfg, wl: w.Name()}.key()
 }
 
 // phaseHillJob measures the Section 5 technique on w.

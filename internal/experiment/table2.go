@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sort"
 
@@ -55,10 +54,8 @@ func rscSweep(app workload.App, cycles int, frac float64) (full float64, rsc int
 	return full, rsc
 }
 
-// table2Key identifies one application's characterisation run; both the
-// solo machine and the requirement sweep are sized by SoloCycles.
 func table2Key(cfg Config, app string) string {
-	return fmt.Sprintf("v%d|table2|app=%s|sc=%d", resultsVersion, app, cfg.SoloCycles)
+	return spec{family: "table2", cfg: cfg, app: app}.key()
 }
 
 // table2Job characterises one application: a stand-alone run for the
