@@ -121,15 +121,18 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -out bin/bench_head.json
 	$(GO) run ./cmd/benchjson -gate -old BENCH_PR10.json -new bin/bench_head.json
 
-# fuzzsmoke runs each fuzz target briefly — enough to exercise the seed
-# corpora plus a few thousand mutations, not a soak — and finishes with
-# an invariant-checked fig9 run: every machine — including every
-# MachineBatch member the batched trial loops refill from a checkpoint —
-# asserts resource conservation, program-order commit, and
-# wakeup/ready-queue consistency each cycle.
+# fuzzsmoke runs each fuzz target briefly — the text-format parsers and
+# the job-key decoders a fabric worker runs on received keys; enough to
+# exercise the seed corpora plus a few thousand mutations, not a soak —
+# and finishes with an invariant-checked fig9 run: every machine —
+# including every MachineBatch member the batched trial loops refill
+# from a checkpoint — asserts resource conservation, program-order
+# commit, and wakeup/ready-queue consistency each cycle.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseWorkload -fuzztime 5s ./internal/workload
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/experiment
+	$(GO) test -run '^$$' -fuzz FuzzSpecFromKey -fuzztime 5s ./internal/simjob
 	$(GO) run ./cmd/experiments -check -epochs 3 -workloads art-mcf,art-gzip,ammp-applu-art-mcf fig9 > /dev/null
 
 # profile regenerates fig4 under the CPU profiler and prints the ten

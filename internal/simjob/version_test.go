@@ -123,3 +123,29 @@ func TestSpecFromKeyRejectsBadKeys(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSpecFromKey feeds arbitrary strings to the decoder a fabric worker
+// runs on every received key. It must never panic, and every key it
+// accepts must re-encode to itself and name a valid spec.
+func FuzzSpecFromKey(f *testing.F) {
+	f.Add(Spec{Workload: "art-mcf", Tech: "HILL-WIPC"}.Key())
+	f.Add(Spec{Workload: "art,mcf,fma3d,gcc", Tech: "HILL-WIPC", Epochs: 6, EpochSize: 8192, Warmup: 1,
+		Cores: 2, Pairing: "ipc-pred"}.Key())
+	f.Add(Spec{Workload: "gzip", Tech: "STATIC", Seed: 7}.Key())
+	f.Add("v1|hill|ep=6|es=8192|metric=weighted-ipc|wl=art-mcf|wu=1")
+	f.Add("v1|simjob|wl=art-mcf")
+	f.Add("v1|simjob|d=4|ep=-1|es=1024|seed=0|tech=ICOUNT|wl=art-mcf|wu=1")
+	f.Add("v1|simjob|d=4|ep=3|es=1024|seed=0|tech=ICOUNT|wl=art%7Cmcf|wu=1")
+	f.Fuzz(func(t *testing.T, key string) {
+		s, ok, err := SpecFromKey(key)
+		if !ok || err != nil {
+			return
+		}
+		if got := s.Key(); got != key {
+			t.Fatalf("SpecFromKey(%q) accepted a key that re-encodes to %q", key, got)
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("SpecFromKey(%q) accepted an invalid spec: %v", key, err)
+		}
+	})
+}
