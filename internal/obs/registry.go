@@ -95,13 +95,6 @@ func (h *Hist) Observe(v int) {
 	h.s.histMu.Unlock()
 }
 
-// Snapshot returns a copy of the underlying histogram.
-func (h *Hist) Snapshot() telemetry.Hist {
-	h.s.histMu.Lock()
-	defer h.s.histMu.Unlock()
-	return h.s.hist
-}
-
 // CounterVec is a counter family partitioned by labels.
 type CounterVec struct{ fam *metricFamily }
 

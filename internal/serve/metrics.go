@@ -157,8 +157,3 @@ func (m *metricsSet) observeHTTP(route string, status int, elapsed time.Duration
 	m.httpReq.With(route, strconv.Itoa(status)).Inc()
 	m.httpLat.With(route).Observe(int(elapsed.Milliseconds()))
 }
-
-// sweepCounts returns (sweepDone, sweepHits) for tests and handlers.
-func (m *metricsSet) sweepCounts() (done, hits uint64) {
-	return m.sweepDone.Value(), m.sweepHits.Value()
-}
