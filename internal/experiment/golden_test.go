@@ -43,8 +43,9 @@ func checkGolden(t *testing.T, name string, v any) {
 	}
 }
 
-// TestFigureGoldens pins the tiny-scale rows of the checkpoint-search
-// figures absolutely: the OFF-LINE comparison (fig4), the hill-width
+// TestFigureGoldens pins the tiny-scale rows of the reproduced figures
+// absolutely: the OFF-LINE comparison (fig4), the on-line
+// HILL-WIPC comparison against the baselines (fig9), the hill-width
 // analysis (fig7), HILL vs OFF-LINE and RAND-HILL (fig11), the
 // exhaustive search synchronised to HILL (fig12), and the qualitative
 // scenarios. The relative tests (serial vs parallel, cached vs fresh)
@@ -57,6 +58,7 @@ func TestFigureGoldens(t *testing.T) {
 		rows func() any
 	}{
 		{"fig4", func() any { return Figure4(cfg, tinyLoads()) }},
+		{"fig9", func() any { return Figure9(cfg, tinyLoads()) }},
 		{"fig7", func() any { return HillWidths(cfg, tinyLoads()) }},
 		{"fig11-2t", func() any { return Figure11TwoThread(cfg, tinyLoads()) }},
 		{"fig11-4t", func() any { return Figure11FourThread(cfg, four) }},
