@@ -2,8 +2,9 @@ GO ?= go
 
 .PHONY: ci vet lint lint-fixtures build test race serve-smoke fabric-smoke obs-smoke multicore-smoke benchsmoke bench-json bench-gate fuzzsmoke profile
 
-# ci is the gate: vet, the repo's own static analyzer (cmd/smtlint),
-# build everything, the full test suite under the race detector
+# ci is the gate: vet, the repo's own static analyzer (cmd/smtlint:
+# determinism, concurrency and dead-code rules, uncached), build
+# everything, the full test suite under the race detector
 # (internal/sweep's pool tests are the concurrency canary — see
 # TestWorkerPoolConcurrency; internal/serve's daemon tests exercise the
 # queue/SSE/shutdown paths), the process-level daemon smoke, the fabric
@@ -21,19 +22,18 @@ ci: vet lint lint-fixtures build race serve-smoke fabric-smoke obs-smoke multico
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo's determinism/concurrency/invariant analyzer over
+# lint runs the repo's determinism/concurrency/dead-code analyzer over
 # every package (see internal/lint and DESIGN.md "Static analysis &
-# invariants"). The cache under bin/ makes warm runs incremental: only
-# packages whose files (or intra-module deps) changed are re-analyzed.
-# Findings not in .smtlint-baseline.json fail; stale //smtlint:ignore
-# directives are findings too.
+# invariants"). Every run loads and type-checks the whole module afresh,
+# so a changed rule is always applied; any finding fails, and stale
+# //smtlint:ignore directives are findings too.
 lint:
-	$(GO) run ./cmd/smtlint -cache bin/lintcache -stats ./...
+	$(GO) run ./cmd/smtlint ./...
 
 # lint-fixtures runs the analyzer's own test suite: every rule against
-# its bad/ok fixture pair, the driver's cold/warm cache behaviour, and
-# TestRepoIsClean (the in-process form of `make lint`). -count=1 so the
-# fixtures re-run even when the package is cached.
+# its bad/ok fixture pair, the whole-module entry point on a temporary
+# module, and TestRepoIsClean (the in-process form of `make lint`).
+# -count=1 so the fixtures re-run even when the package is cached.
 lint-fixtures:
 	$(GO) test -count=1 ./internal/lint/...
 
@@ -121,18 +121,20 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -out bin/bench_head.json
 	$(GO) run ./cmd/benchjson -gate -old BENCH_PR10.json -new bin/bench_head.json
 
-# fuzzsmoke runs each fuzz target briefly — the text-format parsers and
-# the job-key decoders a fabric worker runs on received keys; enough to
-# exercise the seed corpora plus a few thousand mutations, not a soak —
-# and finishes with an invariant-checked fig9 run: every machine —
-# including every MachineBatch member the batched trial loops refill
-# from a checkpoint — asserts resource conservation, program-order
-# commit, and wakeup/ready-queue consistency each cycle.
+# fuzzsmoke runs each fuzz target briefly — the text-format parsers, the
+# job-key decoders a fabric worker runs on received keys, and the
+# daemon's job-spec JSON path; enough to exercise the seed corpora plus a
+# few thousand mutations, not a soak — and finishes with an
+# invariant-checked fig9 run: every machine — including every
+# MachineBatch member the batched trial loops refill from a checkpoint —
+# asserts resource conservation, program-order commit, and
+# wakeup/ready-queue consistency each cycle.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseWorkload -fuzztime 5s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/experiment
 	$(GO) test -run '^$$' -fuzz FuzzSpecFromKey -fuzztime 5s ./internal/simjob
+	$(GO) test -run '^$$' -fuzz FuzzSpecJSON -fuzztime 5s ./internal/simjob
 	$(GO) run ./cmd/experiments -check -epochs 3 -workloads art-mcf,art-gzip,ammp-applu-art-mcf fig9 > /dev/null
 
 # profile regenerates fig4 under the CPU profiler and prints the ten

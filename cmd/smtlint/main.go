@@ -1,21 +1,17 @@
 // Command smtlint enforces the project's determinism, instrumentation,
-// and concurrency-correctness invariants with a zero-dependency static
-// analysis built on the standard library's go/ast, go/parser, and
-// go/types (see internal/lint for the rules and their rationale).
+// concurrency-correctness and dead-code invariants with a
+// zero-dependency static analysis built on the standard library's
+// go/ast, go/parser, and go/types (see internal/lint for the rules and
+// their rationale).
 //
 // Usage:
 //
-//	smtlint ./...                    # lint every package in the module
-//	smtlint -cache bin/lintcache ./... # incremental: reuse per-package results
-//	smtlint -json ./...              # machine-readable findings
-//	smtlint -sarif lint.sarif ./...  # SARIF 2.1.0 for code-review UIs
-//	smtlint -write-baseline ./...    # grandfather the current findings
-//	smtlint -rules                   # list the rules and what they enforce
+//	smtlint ./...   # lint every package in the module
+//	smtlint -rules  # list the rules and what they enforce
 //
-// The baseline file (default .smtlint-baseline.json, at the module root)
-// suppresses exactly the findings recorded in it, matched by (file,
-// rule, message); anything new still fails. Stale //smtlint:ignore
-// directives are themselves findings (rule "unusedignore").
+// Every run loads and type-checks the whole module afresh; there is no
+// result cache to go stale. Stale //smtlint:ignore directives are
+// themselves findings (rule "unusedignore").
 //
 // Exit status: 0 with no findings, 1 with findings, 2 on usage or load
 // errors. Findings print as file:line:col: rule: message, with paths
@@ -23,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,16 +28,7 @@ import (
 )
 
 func main() {
-	var (
-		jsonOut   = flag.Bool("json", false, "emit findings as a JSON array")
-		sarifOut  = flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-		listRules = flag.Bool("rules", false, "list the lint rules and exit")
-		cacheDir  = flag.String("cache", "", "per-package result cache directory (empty disables caching)")
-		noCache   = flag.Bool("no-cache", false, "ignore and bypass the cache even when -cache is set")
-		baseline  = flag.String("baseline", ".smtlint-baseline.json", "baseline file of grandfathered findings, relative to the module root")
-		writeBase = flag.Bool("write-baseline", false, "snapshot the current findings into the baseline file and exit")
-		stats     = flag.Bool("stats", false, "print cache statistics to stderr")
-	)
+	listRules := flag.Bool("rules", false, "list the lint rules and exit")
 	flag.Parse()
 
 	rules := lint.DefaultRules()
@@ -68,89 +54,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cache := *cacheDir
-	if *noCache {
-		cache = ""
-	}
-	if cache != "" && !filepath.IsAbs(cache) {
-		cache = filepath.Join(root, cache)
-	}
-
-	res, err := lint.Drive(lint.DriverOptions{Root: root, CacheDir: cache, Rules: rules})
+	findings, err := lint.Module(root, rules)
 	if err != nil {
 		fatal(err)
 	}
-	if *stats {
-		fmt.Fprintf(os.Stderr, "smtlint: %d packages, %d cached, %d analyzed, module %s\n",
-			res.Stats.Packages, res.Stats.CacheHits, res.Stats.Analyzed,
-			map[bool]string{true: "cached", false: "analyzed"}[res.Stats.ModuleHit])
-	}
-
-	basePath := *baseline
-	if basePath != "" && !filepath.IsAbs(basePath) {
-		basePath = filepath.Join(root, basePath)
-	}
-	if *writeBase {
-		if err := lint.WriteBaseline(basePath, res.Findings); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "smtlint: wrote %d finding(s) to %s\n", len(res.Findings), basePath)
-		return
-	}
-	findings := res.Findings
-	var suppressed []lint.Finding
-	if basePath != "" {
-		base, err := lint.LoadBaseline(basePath)
-		if err != nil {
-			fatal(err)
-		}
-		findings, suppressed = base.Apply(findings)
-	}
-
-	if *sarifOut != "" {
-		f, err := os.Create(*sarifOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := lint.WriteSARIF(f, rules, findings); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-
-	if *jsonOut {
-		type jsonFinding struct {
-			File string `json:"file"`
-			Line int    `json:"line"`
-			Col  int    `json:"col"`
-			Rule string `json:"rule"`
-			Msg  string `json:"msg"`
-		}
-		out := make([]jsonFinding, len(findings))
-		for i, f := range findings {
-			out[i] = jsonFinding{File: f.Pos.Filename, Line: f.Pos.Line, Col: f.Pos.Column, Rule: f.Rule, Msg: f.Msg}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "smtlint: %d finding(s)", len(findings))
-			if len(suppressed) > 0 {
-				fmt.Fprintf(os.Stderr, " (+%d baselined)", len(suppressed))
-			}
-			fmt.Fprintln(os.Stderr)
-		}
+		fmt.Fprintf(os.Stderr, "smtlint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

@@ -181,8 +181,8 @@ func TestDefaultConfigsByThreads(t *testing.T) {
 	for n := 1; n <= 4; n++ {
 		w := workload.Workload{Apps: apps[:n], Group: "test"}
 		m := w.NewMachine(nil)
-		if m.Config().FetchWidth != 8 {
-			t.Fatal("config drifted")
+		if m.Threads() != n {
+			t.Fatalf("%d-app workload built a %d-context machine", n, m.Threads())
 		}
 		m.CycleN(10_000)
 		if m.Stats().Committed == 0 {

@@ -19,7 +19,7 @@ type Config struct {
 	MetaEntries    int // meta chooser entries (power of two)
 	BTBSets        int // BTB sets
 	BTBWays        int // BTB associativity
-	RASEntries     int // return address stack depth per context
+	RASEntries     int // return address stack depth per context (reported only; see Predictor)
 	Contexts       int // hardware thread contexts
 }
 
@@ -44,8 +44,10 @@ type btbEntry struct {
 	valid  bool
 }
 
-// Predictor is the hybrid gshare/bimodal predictor with BTB and per-context
-// RAS and history.
+// Predictor is the hybrid gshare/bimodal predictor with BTB and
+// per-context history. Table 1's return address stack is listed in
+// Config but not simulated: the synthetic instruction streams carry no
+// call/return pairs, so nothing would push or pop it.
 type Predictor struct {
 	cfg     Config
 	gshare  []uint8 // 2-bit counters
@@ -53,8 +55,6 @@ type Predictor struct {
 	meta    []uint8 // 2-bit chooser: >=2 selects gshare
 	btb     []btbEntry
 	history []uint64 // per-context global history
-	ras     [][]uint64
-	rasTop  []int
 	lruTick uint32
 
 	// Statistics (monotonic; survive CloneInto).
@@ -71,8 +71,6 @@ func New(cfg Config) *Predictor {
 		meta:    make([]uint8, cfg.MetaEntries),
 		btb:     make([]btbEntry, cfg.BTBSets*cfg.BTBWays),
 		history: make([]uint64, cfg.Contexts),
-		ras:     make([][]uint64, cfg.Contexts),
-		rasTop:  make([]int, cfg.Contexts),
 	}
 	for i := range p.gshare {
 		p.gshare[i] = 2
@@ -82,9 +80,6 @@ func New(cfg Config) *Predictor {
 	}
 	for i := range p.meta {
 		p.meta[i] = 2
-	}
-	for i := range p.ras {
-		p.ras[i] = make([]uint64, cfg.RASEntries)
 	}
 	return p
 }
@@ -102,14 +97,6 @@ func (p *Predictor) CloneInto(dst *Predictor) *Predictor {
 	dst.meta = append(old.meta[:0], p.meta...)
 	dst.btb = append(old.btb[:0], p.btb...)
 	dst.history = append(old.history[:0], p.history...)
-	dst.rasTop = append(old.rasTop[:0], p.rasTop...)
-	dst.ras = old.ras
-	if len(dst.ras) != len(p.ras) {
-		dst.ras = make([][]uint64, len(p.ras))
-	}
-	for i := range p.ras {
-		dst.ras[i] = append(dst.ras[i][:0], p.ras[i]...)
-	}
 	return dst
 }
 
@@ -223,20 +210,6 @@ func (p *Predictor) BTBUpdate(pc, target uint64) {
 	}
 	p.lruTick++
 	p.btb[victim] = btbEntry{tag: pc, target: target, lru: p.lruTick, valid: true}
-}
-
-// Push records a call's return address on context ctx's RAS.
-func (p *Predictor) Push(ctx int, ret uint64) {
-	top := &p.rasTop[ctx]
-	p.ras[ctx][*top] = ret
-	*top = (*top + 1) % p.cfg.RASEntries
-}
-
-// Pop predicts a return target from context ctx's RAS.
-func (p *Predictor) Pop(ctx int) uint64 {
-	top := &p.rasTop[ctx]
-	*top = (*top - 1 + p.cfg.RASEntries) % p.cfg.RASEntries
-	return p.ras[ctx][*top]
 }
 
 // MispredictRate returns the fraction of updated branches that were

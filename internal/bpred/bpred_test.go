@@ -120,22 +120,6 @@ func TestBTBEvictsLRU(t *testing.T) {
 	}
 }
 
-func TestRASLIFO(t *testing.T) {
-	p := New(Default(2))
-	p.Push(0, 100)
-	p.Push(0, 200)
-	p.Push(1, 999)
-	if got := p.Pop(0); got != 200 {
-		t.Fatalf("Pop = %d, want 200", got)
-	}
-	if got := p.Pop(0); got != 100 {
-		t.Fatalf("Pop = %d, want 100", got)
-	}
-	if got := p.Pop(1); got != 999 {
-		t.Fatalf("context 1 Pop = %d, want 999", got)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	p := New(Default(2))
 	pc := uint64(0x400100)
@@ -143,7 +127,6 @@ func TestCloneIndependence(t *testing.T) {
 		p.Update(0, pc, i%3 != 0)
 	}
 	p.BTBUpdate(pc, 0x400900)
-	p.Push(0, 0x1234)
 
 	c := p.CloneInto(nil)
 	// Diverge the original.
@@ -151,12 +134,8 @@ func TestCloneIndependence(t *testing.T) {
 		p.Update(0, pc, false)
 	}
 	p.BTBUpdate(pc, 0xdead)
-	p.Pop(0)
 
 	// Clone must retain the checkpointed behaviour.
-	if got := c.Pop(0); got != 0x1234 {
-		t.Fatalf("clone RAS Pop = %#x", got)
-	}
 	if tg, ok := c.BTBLookup(pc); !ok || tg != 0x400900 {
 		t.Fatalf("clone BTB = (%#x, %v)", tg, ok)
 	}

@@ -64,31 +64,26 @@ func (s Stats) MissRate() float64 {
 
 // Cache is one set-associative level with LRU replacement.
 type Cache struct {
-	cfg      Config
-	sets     int
-	shift    uint // log2(BlockSize)
-	lines    []line
-	tick     uint32
-	Stats    Stats
-	perTh    []Stats // per-thread stats (for DCRA's classification)
-	contexts int
+	cfg   Config
+	sets  int
+	shift uint // log2(BlockSize)
+	lines []line
+	tick  uint32
+	Stats Stats
 }
 
-// NewCache builds a level sized for the given number of hardware contexts'
-// statistics.
-func NewCache(cfg Config, contexts int) *Cache {
+// NewCache builds one level.
+func NewCache(cfg Config) *Cache {
 	sets := cfg.Sets()
 	shift := uint(0)
 	for 1<<shift < cfg.BlockSize {
 		shift++
 	}
 	return &Cache{
-		cfg:      cfg,
-		sets:     sets,
-		shift:    shift,
-		lines:    make([]line, sets*cfg.Ways),
-		perTh:    make([]Stats, contexts),
-		contexts: contexts,
+		cfg:   cfg,
+		sets:  sets,
+		shift: shift,
+		lines: make([]line, sets*cfg.Ways),
 	}
 }
 
@@ -98,32 +93,19 @@ func (c *Cache) CloneInto(dst *Cache) *Cache {
 	if dst == nil || dst == c {
 		dst = &Cache{}
 	}
-	lines, perTh := dst.lines, dst.perTh
+	lines := dst.lines
 	*dst = *c
 	dst.lines = append(lines[:0], c.lines...)
-	dst.perTh = append(perTh[:0], c.perTh...)
 	return dst
 }
 
-// ThreadStats returns the per-thread statistics for hardware context th.
-func (c *Cache) ThreadStats(th int) Stats { return c.perTh[th] }
-
-// ResetThreadStats zeroes per-thread and aggregate counters (used at epoch
-// boundaries by policies that sample interval miss counts).
-func (c *Cache) ResetThreadStats() {
-	for i := range c.perTh {
-		c.perTh[i] = Stats{}
-	}
-}
-
-// Access probes the cache for addr on behalf of thread th, fills on miss,
-// and reports whether it hit.
-func (c *Cache) Access(th int, addr uint64) (hit bool) {
+// Access probes the cache for addr, fills on miss, and reports whether it
+// hit.
+func (c *Cache) Access(addr uint64) (hit bool) {
 	tag := addr >> c.shift
 	set := int(tag % uint64(c.sets))
 	base := set * c.cfg.Ways
 	c.Stats.Accesses++
-	c.perTh[th].Accesses++
 	c.tick++
 	victim := base
 	for i := 0; i < c.cfg.Ways; i++ {
@@ -139,22 +121,7 @@ func (c *Cache) Access(th int, addr uint64) (hit bool) {
 		}
 	}
 	c.Stats.Misses++
-	c.perTh[th].Misses++
 	c.lines[victim] = line{tag: tag, lru: c.tick, valid: true}
-	return false
-}
-
-// Probe reports whether addr is present without updating any state.
-func (c *Cache) Probe(addr uint64) bool {
-	tag := addr >> c.shift
-	set := int(tag % uint64(c.sets))
-	base := set * c.cfg.Ways
-	for i := 0; i < c.cfg.Ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
 	return false
 }
 
@@ -172,13 +139,13 @@ type Hierarchy struct {
 	core int
 }
 
-// NewHierarchy builds the memory system for the given number of contexts.
-func NewHierarchy(cfg HierarchyConfig, contexts int) *Hierarchy {
+// NewHierarchy builds the memory system.
+func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	return &Hierarchy{
 		cfg: cfg,
-		IL1: NewCache(cfg.IL1, contexts),
-		DL1: NewCache(cfg.DL1, contexts),
-		UL2: NewCache(cfg.UL2, contexts),
+		IL1: NewCache(cfg.IL1),
+		DL1: NewCache(cfg.DL1),
+		UL2: NewCache(cfg.UL2),
 	}
 }
 
@@ -201,9 +168,6 @@ func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
 	return dst
 }
 
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
 // AttachL3 routes this hierarchy's UL2 misses through the given shared
 // last-level cache, identifying itself as core c for the L3's occupancy
 // and contention accounting. Call before simulation; the single-core
@@ -212,10 +176,6 @@ func (h *Hierarchy) AttachL3(l3 *SharedL3, c int) {
 	h.l3 = l3
 	h.core = c
 }
-
-// L3 returns the attached shared last-level cache, nil in the
-// single-core model.
-func (h *Hierarchy) L3() *SharedL3 { return h.l3 }
 
 // DetachL3 disconnects the hierarchy from the shared last-level cache;
 // UL2 misses go straight to memory again. Speculative probe clones (the
@@ -226,14 +186,14 @@ func (h *Hierarchy) DetachL3() {
 	h.core = 0
 }
 
-// Load performs a data load for thread th and returns the load-to-use
+// Load performs a data load and returns the load-to-use
 // latency plus whether the access missed in the L2 (a long-latency,
 // memory-bound miss — the trigger for FLUSH/STALL-style policies).
-func (h *Hierarchy) Load(th int, addr uint64) (latency int, l2miss bool) {
-	if h.DL1.Access(th, addr) {
+func (h *Hierarchy) Load(addr uint64) (latency int, l2miss bool) {
+	if h.DL1.Access(addr) {
 		return h.cfg.DL1.Latency, false
 	}
-	if h.UL2.Access(th, addr) {
+	if h.UL2.Access(addr) {
 		return h.cfg.DL1.Latency + h.cfg.UL2.Latency, false
 	}
 	if h.l3 != nil {
@@ -243,24 +203,23 @@ func (h *Hierarchy) Load(th int, addr uint64) (latency int, l2miss bool) {
 	return h.cfg.DL1.Latency + h.cfg.UL2.Latency + h.cfg.MemFirst, true
 }
 
-// Store performs a data store for thread th (write-allocate, write-back;
+// Store performs a data store (write-allocate, write-back;
 // retirement-time write, so no latency is returned to the pipeline).
-func (h *Hierarchy) Store(th int, addr uint64) {
-	if h.DL1.Access(th, addr) {
+func (h *Hierarchy) Store(addr uint64) {
+	if h.DL1.Access(addr) {
 		return
 	}
-	if !h.UL2.Access(th, addr) && h.l3 != nil {
+	if !h.UL2.Access(addr) && h.l3 != nil {
 		h.l3.Fill(h.core, addr)
 	}
 }
 
-// Fetch performs an instruction fetch for thread th and returns the fetch
-// latency.
-func (h *Hierarchy) Fetch(th int, pc uint64) (latency int) {
-	if h.IL1.Access(th, pc) {
+// Fetch performs an instruction fetch and returns the fetch latency.
+func (h *Hierarchy) Fetch(pc uint64) (latency int) {
+	if h.IL1.Access(pc) {
 		return h.cfg.IL1.Latency
 	}
-	if h.UL2.Access(th, pc) {
+	if h.UL2.Access(pc) {
 		return h.cfg.IL1.Latency + h.cfg.UL2.Latency
 	}
 	if h.l3 != nil {

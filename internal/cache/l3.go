@@ -5,8 +5,9 @@
 // straight to memory. The model is deliberately MESI-free: cores never
 // share lines coherently (workloads have disjoint address bases), so
 // the L3 models *capacity* and *bandwidth* interference only —
-// occupancy per core, cross-core evictions, and a ports/queue model
-// that delays bursts of same-cycle misses from different cores.
+// occupancy per core (a fill may evict another core's line) and a
+// ports/queue model that delays bursts of same-cycle misses from
+// different cores.
 package cache
 
 // L3Config sizes the shared last-level cache and its contention model.
@@ -40,8 +41,8 @@ type SharedL3 struct {
 	sets  int
 	shift uint
 	lines []line
-	// owner tracks which core filled each line, for the occupancy and
-	// cross-eviction accounting; -1 means invalid.
+	// owner tracks which core filled each line, for the occupancy
+	// accounting; -1 means invalid.
 	owner []int8
 	tick  uint32
 	// inWindow counts accesses in the current cycle window; Tick resets
@@ -49,21 +50,8 @@ type SharedL3 struct {
 	inWindow int
 
 	Stats Stats
-	// perCore holds per-core access/miss stats, occupancy (valid lines
-	// currently owned), and evictions of this core's lines by others.
-	perCore []CoreL3Stats
-}
-
-// CoreL3Stats is one core's view of the shared L3.
-type CoreL3Stats struct {
-	Stats
-	// Occupancy is the number of valid L3 lines this core currently owns.
-	Occupancy int
-	// EvictedByOthers counts this core's lines evicted by another
-	// core's fills — the capacity-interference signal.
-	EvictedByOthers uint64
-	// Queued counts accesses that paid bandwidth queue delay.
-	Queued uint64
+	// occupancy counts the valid lines each core currently owns.
+	occupancy []int
 }
 
 // NewSharedL3 builds the shared level for the given number of cores.
@@ -74,12 +62,12 @@ func NewSharedL3(cfg L3Config, cores int) *SharedL3 {
 		shift++
 	}
 	l := &SharedL3{
-		cfg:     cfg,
-		sets:    sets,
-		shift:   shift,
-		lines:   make([]line, sets*cfg.Ways),
-		owner:   make([]int8, sets*cfg.Ways),
-		perCore: make([]CoreL3Stats, cores),
+		cfg:       cfg,
+		sets:      sets,
+		shift:     shift,
+		lines:     make([]line, sets*cfg.Ways),
+		owner:     make([]int8, sets*cfg.Ways),
+		occupancy: make([]int, cores),
 	}
 	for i := range l.owner {
 		l.owner[i] = -1
@@ -87,21 +75,12 @@ func NewSharedL3(cfg L3Config, cores int) *SharedL3 {
 	return l
 }
 
-// Config returns the L3 configuration.
-func (l *SharedL3) Config() L3Config { return l.cfg }
-
-// Cores returns the number of cores the L3 was built for.
-func (l *SharedL3) Cores() int { return len(l.perCore) }
-
 // Tick opens a new bandwidth window; the System calls it once per
 // lock-step cycle before cycling the cores.
 func (l *SharedL3) Tick() { l.inWindow = 0 }
 
-// CoreStats returns core c's L3 statistics.
-func (l *SharedL3) CoreStats(c int) CoreL3Stats { return l.perCore[c] }
-
 // Occupancy returns the number of valid lines currently owned by core c.
-func (l *SharedL3) Occupancy(c int) int { return l.perCore[c].Occupancy }
+func (l *SharedL3) Occupancy(c int) int { return l.occupancy[c] }
 
 // Access services a UL2 miss from core c for addr. It returns the extra
 // latency beyond the private hierarchy (L3 hit latency, any bandwidth
@@ -112,14 +91,12 @@ func (l *SharedL3) Access(c int, addr uint64) (extra int, hit bool) {
 	extra = l.cfg.Latency
 	if pos >= l.cfg.Ports {
 		extra += (pos - l.cfg.Ports + 1) * l.cfg.QueueDelay
-		l.perCore[c].Queued++
 	}
 
 	tag := addr >> l.shift
 	set := int(tag % uint64(l.sets))
 	base := set * l.cfg.Ways
 	l.Stats.Accesses++
-	l.perCore[c].Accesses++
 	l.tick++
 	victim := base
 	for i := 0; i < l.cfg.Ways; i++ {
@@ -135,16 +112,12 @@ func (l *SharedL3) Access(c int, addr uint64) (extra int, hit bool) {
 		}
 	}
 	l.Stats.Misses++
-	l.perCore[c].Misses++
 	if old := l.owner[victim]; old >= 0 && l.lines[victim].valid {
-		l.perCore[old].Occupancy--
-		if int(old) != c {
-			l.perCore[old].EvictedByOthers++
-		}
+		l.occupancy[old]--
 	}
 	l.lines[victim] = line{tag: tag, lru: l.tick, valid: true}
 	l.owner[victim] = int8(c)
-	l.perCore[c].Occupancy++
+	l.occupancy[c]++
 	return extra + l.cfg.MemFirst, false
 }
 
@@ -169,12 +142,9 @@ func (l *SharedL3) Fill(c int, addr uint64) {
 		}
 	}
 	if old := l.owner[victim]; old >= 0 && l.lines[victim].valid {
-		l.perCore[old].Occupancy--
-		if int(old) != c {
-			l.perCore[old].EvictedByOthers++
-		}
+		l.occupancy[old]--
 	}
 	l.lines[victim] = line{tag: tag, lru: l.tick, valid: true}
 	l.owner[victim] = int8(c)
-	l.perCore[c].Occupancy++
+	l.occupancy[c]++
 }

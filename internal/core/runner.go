@@ -93,9 +93,6 @@ func (r *Runner) Singles() []float64 {
 	return r.singles
 }
 
-// Epoch returns the number of epochs run so far.
-func (r *Runner) Epoch() int { return r.epoch }
-
 func (r *Runner) ensure() {
 	t := r.M.Threads()
 	if r.singles == nil {

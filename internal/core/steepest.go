@@ -76,9 +76,6 @@ func (s *Steepest) Name() string {
 // OverheadCycles implements Distributor.
 func (s *Steepest) OverheadCycles() int { return s.Overhead }
 
-// Anchor returns the current best-known partitioning.
-func (s *Steepest) Anchor() resource.Shares { return s.anchor.Clone() }
-
 // SetAnchor moves the anchor — the phase extension restoring a learned
 // partition, or the multicore driver resetting a migrated core's
 // climber to the equal split.

@@ -46,7 +46,7 @@ func TestSteepestNeverWorseThanSingleMove(t *testing.T) {
 			st.ProbeCycles = epoch
 
 			for e := 0; e < 5; e++ {
-				anchor := st.Anchor()
+				anchor := st.anchor.Clone()
 				single := anchor.Shift(e%threads, st.Delta)
 				chosen := st.Decide(nil)
 

@@ -26,6 +26,8 @@ type Figure12Row struct {
 
 // Figure12Workloads lists the five representative workloads of the
 // figure with their behaviour classes.
+//
+//smtlint:ignore deadcode reached only from figure12_test.go; scheduled for deletion with its two tests (ROADMAP 7(b))
 func Figure12Workloads() map[string]string {
 	return map[string]string{
 		"swim-mcf":   "TS (temporally-stable)",

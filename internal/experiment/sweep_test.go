@@ -76,7 +76,7 @@ func TestCachedOutputByteIdentical(t *testing.T) {
 	var computed, hits atomic.Int64
 	e2 := sweep.NewEngine(4)
 	e2.SetCache(cache)
-	e2.SetObserver(func(ev sweep.Event) {
+	e2.AddObserver(func(ev sweep.Event) {
 		if ev.Kind != sweep.JobDone {
 			return
 		}
@@ -111,7 +111,7 @@ func TestSharedRunsComputedOnce(t *testing.T) {
 	e := sweep.NewEngine(2)
 	var computed atomic.Int64
 	seen := map[string]int{}
-	e.SetObserver(func(ev sweep.Event) {
+	e.AddObserver(func(ev sweep.Event) {
 		if ev.Kind == sweep.JobDone && ev.Source == sweep.FromRun {
 			computed.Add(1)
 			seen[ev.Key]++

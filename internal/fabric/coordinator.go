@@ -606,10 +606,6 @@ func (c *Coordinator) Health() map[string]any {
 	return h
 }
 
-// WriteMetrics renders the coordinator's counters (dispatch outcomes,
-// liveness, latency) plus its store server's, in exposition format.
-func (c *Coordinator) WriteMetrics(w io.Writer) { c.reg.Write(w) }
-
 // storeLog wraps the backing store with an append-only log of stored
 // keys, the source of heartbeat gossip. Every write path — worker
 // uploads through the HTTP store, the coordinator engine's own cache

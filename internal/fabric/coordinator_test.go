@@ -79,7 +79,7 @@ func TestFabricRedispatchAfterMissedHeartbeats(t *testing.T) {
 	c.reap()
 
 	c.mu.Lock()
-	reaped, inRing := c.reapedTotal.Value(), c.ring.Has("dead")
+	reaped, inRing := c.reapedTotal.Value(), c.ring.ids["dead"]
 	c.mu.Unlock()
 	if reaped != 1 || inRing {
 		t.Fatalf("after missed heartbeats: reaped=%d inRing=%v, want 1 and false", reaped, inRing)
@@ -99,7 +99,7 @@ func TestFabricRedispatchAfterMissedHeartbeats(t *testing.T) {
 	// The dead worker's next heartbeat readmits it.
 	c.admit("dead", "http://127.0.0.1:1", 0)
 	c.mu.Lock()
-	back := c.ring.Has("dead")
+	back := c.ring.ids["dead"]
 	c.mu.Unlock()
 	if !back {
 		t.Fatal("re-heartbeating worker did not rejoin the ring")

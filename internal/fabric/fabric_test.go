@@ -170,7 +170,7 @@ func TestFabricClusterByteIdentical(t *testing.T) {
 	}
 
 	var metrics strings.Builder
-	coord.WriteMetrics(&metrics)
+	coord.Registry().Write(&metrics)
 	for _, want := range []string{
 		"smtserved_fabric_peers{state=\"alive\"} 2",
 		"smtserved_fabric_dispatch_total{kind=\"owner\"}",

@@ -72,9 +72,6 @@ func (r *Ring) Remove(id string) {
 	r.points = kept
 }
 
-// Has reports membership.
-func (r *Ring) Has(id string) bool { return r.ids[id] }
-
 // Len returns the number of members.
 func (r *Ring) Len() int { return len(r.ids) }
 

@@ -210,6 +210,3 @@ func (s *StoreServer) handlePut(w http.ResponseWriter, r *http.Request, key stri
 	w.Header().Set("ETag", etagFor(raw))
 	w.WriteHeader(http.StatusNoContent)
 }
-
-// WriteMetrics renders the server's counters in exposition format.
-func (s *StoreServer) WriteMetrics(w io.Writer) { s.reg.Write(w) }

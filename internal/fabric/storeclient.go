@@ -231,8 +231,3 @@ func (c *StoreClient) KnownKeys() int {
 	defer c.mu.Unlock()
 	return len(c.known)
 }
-
-// WriteMetrics renders the client's counters in exposition format. The
-// outcome label says where a result came from, so an operator can read
-// the local/remote hit split per node.
-func (c *StoreClient) WriteMetrics(w io.Writer) { c.reg.Write(w) }

@@ -346,7 +346,3 @@ func (w *Worker) Health() map[string]any {
 	}
 	return h
 }
-
-// WriteMetrics renders the worker's counters (plus its store client's,
-// when present) in exposition format.
-func (w *Worker) WriteMetrics(out io.Writer) { w.reg.Write(out) }

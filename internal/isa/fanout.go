@@ -52,12 +52,6 @@ func (f *Fanout) Origin() *FanoutReader {
 // instruction.
 func (f *Fanout) Frontier() uint64 { return f.base + uint64(len(f.buf)) }
 
-// Retained returns the number of instructions currently buffered.
-func (f *Fanout) Retained() int { return len(f.buf) }
-
-// Exhausted reports whether the source ran dry; the frontier is final.
-func (f *Fanout) Exhausted() bool { return f.exhausted }
-
 // fill produces instructions from the source until the window covers
 // absolute position pos, reporting whether it does. The window's backing
 // array is retained across trims, so steady-state filling does not

@@ -96,8 +96,8 @@ func TestFanoutTrimBoundsWindow(t *testing.T) {
 			}
 		}
 		f.TrimTo(r.Pos())
-		if f.Retained() != 0 {
-			t.Fatalf("after full trim, %d insts retained", f.Retained())
+		if len(f.buf) != 0 {
+			t.Fatalf("after full trim, %d insts retained", len(f.buf))
 		}
 	}
 	if f.Frontier() != r.Pos() {
@@ -146,8 +146,8 @@ func TestFanoutExhaustion(t *testing.T) {
 	for r.Next(&in) {
 		n++
 	}
-	if n != 5 || !f.Exhausted() {
-		t.Fatalf("leader consumed %d (exhausted=%v), want 5", n, f.Exhausted())
+	if n != 5 || !f.exhausted {
+		t.Fatalf("leader consumed %d (exhausted=%v), want 5", n, f.exhausted)
 	}
 	// The trailing reader still drains the full retained tail.
 	n = 0

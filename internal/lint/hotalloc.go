@@ -106,8 +106,9 @@ func funcLabel(fn *types.Func) string {
 	return fn.Name()
 }
 
-// callee resolves the static callee of a call expression to a package
-// function, or nil for builtins, cross-package calls, and dynamic calls.
+// callee resolves the static callee of a call to a declared function in
+// any package. Builtins, interface methods, and function values resolve
+// to nil.
 func callee(p *Package, call *ast.CallExpr) *types.Func {
 	e := call.Fun
 	for {
@@ -124,10 +125,7 @@ func callee(p *Package, call *ast.CallExpr) *types.Func {
 	case *ast.SelectorExpr:
 		obj = p.Info.Uses[fun.Sel]
 	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() != p.Types {
-		return nil
-	}
+	fn, _ := obj.(*types.Func)
 	return fn
 }
 
@@ -187,7 +185,7 @@ func (r *HotAllocRule) Check(p *Package) []Finding {
 				return true
 			}
 			fn := callee(p, call)
-			if fn == nil || seen[fn] || cold[fn.Name()] {
+			if fn == nil || fn.Pkg() != p.Types || seen[fn] || cold[fn.Name()] {
 				return true
 			}
 			if _, hasBody := decls[fn]; !hasBody {

@@ -47,6 +47,8 @@ const settle = 2 * time.Second
 // Main wraps m.Run with the goroutine-leak gate. Returns the exit code
 // for os.Exit: the suite's own code when it fails (a leak report on top
 // of a real failure is noise), otherwise 0 iff no goroutines leaked.
+//
+//smtlint:ignore deadcode test support: the TestMain of the serve, fabric, obs and multicore suites calls it
 func Main(m *testing.M) int {
 	before := idSet(stacks())
 	code := m.Run()

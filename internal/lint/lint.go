@@ -55,9 +55,17 @@
 //     have an exit tied to a context or done channel; the lint/leakcheck
 //     test helper enforces the same contract dynamically.
 //
+// One more rule keeps code without a consumer out of the tree:
+//
+//   - deadcode (deadcode.go, a ModuleRule): every function and method
+//     needs a non-test reference in the module, or a signature matching
+//     some interface method it may be called through.
+//
 // Rules are individually constructable and configurable so tests can
 // point them at fixture packages; DefaultRules returns the project
-// configuration that cmd/smtlint enforces.
+// configuration. Module is the one whole-module entry point that
+// cmd/smtlint and TestRepoIsClean share; it keeps no cache, so every run
+// applies the rules as they are now.
 //
 // Findings can be suppressed per line with a trailing or preceding
 // comment of the form:
@@ -72,6 +80,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -103,8 +112,8 @@ type Rule interface {
 
 // ModuleRule is a rule whose analysis spans package boundaries (the lock
 // acquisition graph crosses serve -> obs, for example). A ModuleRule's
-// per-package Check returns nil; Run and the driver call CheckModule once
-// with every loaded package.
+// per-package Check returns nil; RunAudit calls CheckModule once with
+// every loaded package.
 type ModuleRule interface {
 	Rule
 	// CheckModule analyzes the whole module at once.
@@ -125,6 +134,7 @@ func DefaultRules() []Rule {
 		NewLockOrderRule(),
 		NewCtxPropRule(),
 		NewGoLeakRule(),
+		NewDeadCodeRule(),
 	}
 }
 
@@ -132,13 +142,13 @@ func DefaultRules() []Rule {
 // the rule name as written (possibly "*").
 type Directive struct {
 	// File is the directive's filename as recorded in the file set.
-	File string `json:"file"`
+	File string
 	// Line is the directive's 1-based line.
-	Line int `json:"line"`
+	Line int
 	// Rule is the rule name the directive names, or "*".
-	Rule string `json:"rule"`
+	Rule string
 	// Col is the directive's column, for stale-directive findings.
-	Col int `json:"col"`
+	Col int
 }
 
 // Key renders the directive's identity for used-set bookkeeping.
@@ -146,47 +156,56 @@ func (d Directive) Key() string {
 	return fmt.Sprintf("%s:%d:%s", d.File, d.Line, d.Rule)
 }
 
-// Run applies every rule (per-package and module-wide) to the packages
-// and returns the surviving findings sorted by position. Findings on a
-// line carrying (or directly following a line carrying) an
-// "//smtlint:ignore <rule>" directive are dropped.
-func Run(rules []Rule, pkgs []*Package) []Finding {
-	used := map[string]bool{}
-	var out []Finding
-	for _, p := range pkgs {
-		fs, _ := CheckPackage(rules, p, used)
-		out = append(out, fs...)
+// Module lints the module rooted at root (the directory holding go.mod):
+// it loads every non-test package, applies rules through RunAudit, and
+// returns the findings with filenames relative to root. cmd/smtlint and
+// TestRepoIsClean both go through it. It keeps no cache, so a changed
+// rule is always seen by the next run.
+func Module(root string, rules []Rule) ([]Finding, error) {
+	l, err := NewLoader(root)
+	if err != nil {
+		return nil, err
 	}
-	out = append(out, CheckModuleRules(rules, pkgs, used)...)
-	SortFindings(out)
-	return out
+	pkgs, err := l.LoadAll()
+	if err != nil {
+		return nil, err
+	}
+	out := RunAudit(rules, pkgs)
+	for i := range out {
+		if rel, err := filepath.Rel(root, out[i].Pos.Filename); err == nil {
+			out[i].Pos.Filename = filepath.ToSlash(rel)
+		}
+	}
+	return out, nil
 }
 
-// RunAudit is Run plus the unusedignore audit: directives that suppressed
-// no finding across the whole run come back as findings of rule
-// "unusedignore", so stale justifications fail the build like any other
-// violation.
+// RunAudit applies every rule (per-package and module-wide) to the
+// packages and returns the surviving findings sorted by position.
+// Findings on a line carrying (or directly following a line carrying) an
+// "//smtlint:ignore <rule>" directive are dropped. Directives that
+// suppressed no finding across the whole run come back as findings of
+// rule "unusedignore", so stale justifications fail the build like any
+// other violation.
 func RunAudit(rules []Rule, pkgs []*Package) []Finding {
 	used := map[string]bool{}
 	var out []Finding
 	var all []Directive
 	for _, p := range pkgs {
-		fs, dirs := CheckPackage(rules, p, used)
+		fs, dirs := checkPackage(rules, p, used)
 		out = append(out, fs...)
 		all = append(all, dirs...)
 	}
-	out = append(out, CheckModuleRules(rules, pkgs, used)...)
-	out = append(out, StaleDirectives(all, used)...)
-	SortFindings(out)
+	out = append(out, checkModuleRules(rules, pkgs, all, used)...)
+	out = append(out, staleDirectives(all, used)...)
+	sortFindings(out)
 	return out
 }
 
-// CheckPackage applies the per-package rules to p, filters the findings
+// checkPackage applies the per-package rules to p, filters the findings
 // through p's ignore directives, and returns the survivors along with
 // every directive in the package. Directives that suppressed at least
-// one finding are recorded in used (keyed by Directive.Key); pass nil to
-// skip the bookkeeping.
-func CheckPackage(rules []Rule, p *Package, used map[string]bool) ([]Finding, []Directive) {
+// one finding are recorded in used (keyed by Directive.Key).
+func checkPackage(rules []Rule, p *Package, used map[string]bool) ([]Finding, []Directive) {
 	dirs := Directives(p)
 	idx := buildIgnoreIndex(dirs)
 	var out []Finding
@@ -199,34 +218,23 @@ func CheckPackage(rules []Rule, p *Package, used map[string]bool) ([]Finding, []
 	return out, dirs
 }
 
-// CheckModuleRules applies the module-wide rules once over all packages,
-// filtering findings through the directives of every package.
-func CheckModuleRules(rules []Rule, pkgs []*Package, used map[string]bool) []Finding {
-	var mods []ModuleRule
-	for _, r := range rules {
-		if mr, ok := r.(ModuleRule); ok {
-			mods = append(mods, mr)
-		}
-	}
-	if len(mods) == 0 {
-		return nil
-	}
-	var dirs []Directive
-	for _, p := range pkgs {
-		dirs = append(dirs, Directives(p)...)
-	}
+// checkModuleRules applies the module-wide rules once over all packages,
+// filtering findings through dirs, the directives of every package.
+func checkModuleRules(rules []Rule, pkgs []*Package, dirs []Directive, used map[string]bool) []Finding {
 	idx := buildIgnoreIndex(dirs)
 	var out []Finding
-	for _, mr := range mods {
-		out = append(out, filterFindings(mr.CheckModule(pkgs), dirs, idx, used)...)
+	for _, r := range rules {
+		if mr, ok := r.(ModuleRule); ok {
+			out = append(out, filterFindings(mr.CheckModule(pkgs), dirs, idx, used)...)
+		}
 	}
 	return out
 }
 
-// StaleDirectives returns an "unusedignore" finding for every directive
+// staleDirectives returns an "unusedignore" finding for every directive
 // in all whose key is absent from used: an ignore that suppresses
 // nothing is a stale justification and must be deleted.
-func StaleDirectives(all []Directive, used map[string]bool) []Finding {
+func staleDirectives(all []Directive, used map[string]bool) []Finding {
 	var out []Finding
 	for _, d := range all {
 		if used[d.Key()] {
@@ -241,8 +249,8 @@ func StaleDirectives(all []Directive, used map[string]bool) []Finding {
 	return out
 }
 
-// SortFindings orders findings by file, line, column, then rule.
-func SortFindings(out []Finding) {
+// sortFindings orders findings by file, line, column, then rule.
+func sortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {
@@ -288,9 +296,7 @@ func filterFindings(fs []Finding, dirs []Directive, idx map[ignoreKey]int, used 
 			i, ok = idx[ignoreKey{f.Pos.Filename, f.Pos.Line, "*"}]
 		}
 		if ok {
-			if used != nil {
-				used[dirs[i].Key()] = true
-			}
+			used[dirs[i].Key()] = true
 			continue
 		}
 		out = append(out, f)

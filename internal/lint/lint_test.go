@@ -201,9 +201,10 @@ func TestHotAllocRuleFires(t *testing.T) {
 
 func TestHotAllocRuleSilentOnFixedForm(t *testing.T) {
 	p := fixture(t, "hotallocok")
-	// Run (not Check) so the ignore directive in the fixture applies; the
-	// cold telemetry path and the unreachable reset are exempt by design.
-	if got := Run([]Rule{hotAllocRule("hotallocok")}, []*Package{p}); len(got) != 0 {
+	// RunAudit (not Check) so the ignore directive in the fixture applies;
+	// the cold telemetry path and the unreachable reset are exempt by
+	// design.
+	if got := RunAudit([]Rule{hotAllocRule("hotallocok")}, []*Package{p}); len(got) != 0 {
 		t.Fatalf("unexpected findings on fixed form: %v", got)
 	}
 }
@@ -212,9 +213,9 @@ func TestHotAllocRuleReportsMissingRoot(t *testing.T) {
 	p := fixture(t, "hotallocok")
 	r := hotAllocRule("hotallocok")
 	r.Roots = append(r.Roots, FuncRef{Recv: "Batch", Name: "CycleAllN"})
-	// Run applies the fixture's ignore directive, leaving only the
+	// RunAudit applies the fixture's ignore directive, leaving only the
 	// missing root.
-	got := Run([]Rule{r}, []*Package{p})
+	got := RunAudit([]Rule{r}, []*Package{p})
 	if len(got) != 1 {
 		t.Fatalf("want exactly the missing-root finding, got %v", got)
 	}
@@ -278,19 +279,20 @@ func TestMetricNameRuleRespectsPackageSelection(t *testing.T) {
 
 func TestIgnoreDirectives(t *testing.T) {
 	p := fixture(t, "ignored")
-	got := Run([]Rule{&NondetRule{}}, []*Package{p})
+	got := RunAudit([]Rule{&NondetRule{}}, []*Package{p})
 	wantFindings(t, got, []struct {
 		line int
 		sub  string
 	}{
-		{21, "time.Now"}, // Stamp3: directive names the wrong rule
+		{20, "suppresses no finding"}, // Stamp3's directive names the wrong rule...
+		{21, "time.Now"},              // ...so the read it sits on survives
 	})
 }
 
 func TestRunSortsFindings(t *testing.T) {
 	pa := fixture(t, "floatbad")
 	pb := fixture(t, "nondetbad")
-	got := Run([]Rule{&NondetRule{}, NewFloatCompareRule()}, []*Package{pb, pa})
+	got := RunAudit([]Rule{&NondetRule{}, NewFloatCompareRule()}, []*Package{pb, pa})
 	for i := 1; i < len(got); i++ {
 		a, b := got[i-1], got[i]
 		if a.Pos.Filename > b.Pos.Filename ||
@@ -330,22 +332,15 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")
 	}
-	loaderOnce.Do(func() {}) // reuse if already built, but load fresh root
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLoader(root)
+	got, err := Module(root, DefaultRules())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := l.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := RunAudit(DefaultRules(), pkgs); len(got) != 0 {
-		for _, f := range got {
-			t.Errorf("%s", f)
-		}
+	for _, f := range got {
+		t.Errorf("%s", f)
 	}
 }

@@ -38,7 +38,7 @@ func TestLockGuardRuleRespectsPackageSelection(t *testing.T) {
 
 func TestLockOrderRuleFires(t *testing.T) {
 	p := fixture(t, "lockorderbad")
-	got := Run([]Rule{NewLockOrderRule()}, []*Package{p})
+	got := RunAudit([]Rule{NewLockOrderRule()}, []*Package{p})
 	wantFindings(t, got, []struct {
 		line int
 		sub  string
@@ -76,7 +76,7 @@ func ctxPropRule(path string) *CtxPropRule {
 
 func TestCtxPropRuleFires(t *testing.T) {
 	p := fixture(t, "ctxpropbad")
-	got := Run([]Rule{ctxPropRule("ctxpropbad")}, []*Package{p})
+	got := RunAudit([]Rule{ctxPropRule("ctxpropbad")}, []*Package{p})
 	wantFindings(t, got, []struct {
 		line int
 		sub  string
@@ -112,7 +112,7 @@ func goLeakRule(path string) *GoLeakRule {
 
 func TestGoLeakRuleFires(t *testing.T) {
 	p := fixture(t, "goleakbad")
-	got := Run([]Rule{goLeakRule("goleakbad")}, []*Package{p})
+	got := RunAudit([]Rule{goLeakRule("goleakbad")}, []*Package{p})
 	wantFindings(t, got, []struct {
 		line int
 		sub  string
@@ -163,5 +163,29 @@ func TestRunAuditFlagsStaleIgnores(t *testing.T) {
 		if f.Rule == "unusedignore" && !strings.Contains(f.Msg, "suppresses no finding") {
 			t.Errorf("stale msg %q", f.Msg)
 		}
+	}
+}
+
+func TestDeadCodeRuleFires(t *testing.T) {
+	p := fixture(t, "deadcodebad")
+	got := RunAudit([]Rule{NewDeadCodeRule()}, []*Package{p})
+	wantFindings(t, got, []struct {
+		line int
+		sub  string
+	}{
+		{8, "T.Get has no non-test reference"},
+		{11, "T.String has no non-test reference"},
+		{14, "helper has no non-test reference"},
+		{17, "Exported has no non-test reference"},
+		{23, "Box.Peek has no non-test reference"},
+	})
+}
+
+func TestDeadCodeRuleSilentOnFixedForm(t *testing.T) {
+	p := fixture(t, "deadcodeok")
+	// RunAudit (not CheckModule) so the fixture's justified exception
+	// applies, and so a directive that suppressed nothing would fail.
+	if got := RunAudit([]Rule{NewDeadCodeRule()}, []*Package{p}); len(got) != 0 {
+		t.Fatalf("unexpected findings on fixed form: %v", got)
 	}
 }

@@ -80,9 +80,6 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: no module declaration in %s", gomod)
 }
 
-// Fset returns the loader's file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Import implements types.Importer, letting one package's type check pull
 // in the module-internal packages it depends on.
 func (l *Loader) Import(path string) (*types.Package, error) {

@@ -98,13 +98,6 @@ func (d *Driver) dispatchStalls(c, ctx int) uint64 {
 	return sum
 }
 
-// Epoch returns the epochs run so far.
-func (d *Driver) Epoch() int { return d.epoch }
-
-// Obs returns the most recent per-thread observations (valid after the
-// first reallocation point).
-func (d *Driver) Obs() []Obs { return d.obs }
-
 // RunEpoch advances every core one epoch in lock-step — all runners
 // prepare, the system cycles, all runners finish — then, at
 // reallocation points, lets the pairing policy re-group threads. It
@@ -126,13 +119,6 @@ func (d *Driver) RunEpoch() []core.EpochResult {
 		d.reallocate()
 	}
 	return results
-}
-
-// Run executes n epochs.
-func (d *Driver) Run(n int) {
-	for i := 0; i < n; i++ {
-		d.RunEpoch()
-	}
 }
 
 // emitOccupancy reports each core's shared-L3 footprint and IPC for the

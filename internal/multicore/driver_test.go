@@ -44,6 +44,13 @@ func (forceSwap) Pair(obs []Obs, groups [][]int, epoch int) [][]int {
 	return out
 }
 
+// runEpochs advances d by n epochs.
+func runEpochs(d *Driver, n int) {
+	for i := 0; i < n; i++ {
+		d.RunEpoch()
+	}
+}
+
 func newTestDriver(t *testing.T, cores int, p Pairing) *Driver {
 	t.Helper()
 	sys := newTestSystem(t, cores)
@@ -63,7 +70,7 @@ func newTestDriver(t *testing.T, cores int, p Pairing) *Driver {
 // grouping is about who shares a core, not which core hosts a pair.
 func TestDriverRelabelSkipsNoopMigrations(t *testing.T) {
 	d := newTestDriver(t, 2, swappedLabels{})
-	d.Run(6)
+	runEpochs(d, 6)
 	if got := d.Sys.Migrations(); got != 0 {
 		t.Fatalf("label-only re-pairing caused %d migrations, want 0", got)
 	}
@@ -74,7 +81,7 @@ func TestDriverRelabelSkipsNoopMigrations(t *testing.T) {
 func TestDriverAppliesBoundedSwaps(t *testing.T) {
 	d := newTestDriver(t, 2, forceSwap{})
 	d.MaxMoves = 1
-	d.Run(2) // one reallocation point
+	runEpochs(d, 2) // one reallocation point
 	if got := d.Sys.Migrations(); got != 2 {
 		t.Fatalf("forced swap performed %d migrations, want 2 (one bounded swap)", got)
 	}
@@ -82,7 +89,7 @@ func TestDriverAppliesBoundedSwaps(t *testing.T) {
 		t.Fatal("forced swap did not move threads 0 and 3")
 	}
 	// The next reallocation wants them swapped back.
-	d.Run(2)
+	runEpochs(d, 2)
 	if got := d.Sys.Migrations(); got != 4 {
 		t.Fatalf("second reallocation performed %d total migrations, want 4", got)
 	}
@@ -101,8 +108,8 @@ func TestDriverEpochResultsMatchRunners(t *testing.T) {
 			t.Fatalf("core %d: %d per-thread IPCs", c, len(res.IPC))
 		}
 	}
-	if d.Epoch() != 1 {
-		t.Fatalf("Epoch() = %d after one RunEpoch", d.Epoch())
+	if d.epoch != 1 {
+		t.Fatalf("epoch = %d after one RunEpoch", d.epoch)
 	}
 }
 
@@ -111,7 +118,7 @@ func TestDriverEpochResultsMatchRunners(t *testing.T) {
 func TestDriverDeterministic(t *testing.T) {
 	run := func() ([]uint64, uint64) {
 		d := newTestDriver(t, 2, IPCPairing{})
-		d.Run(8)
+		runEpochs(d, 8)
 		out := make([]uint64, d.Sys.Threads())
 		for g := range out {
 			out[g] = d.Sys.Committed(g)
@@ -153,11 +160,15 @@ func TestDriverSteepestPerCore(t *testing.T) {
 		}
 		d := &Driver{Sys: sys, Runners: runners, Pairing: forceSwap{},
 			EpochSize: 2048, AllocEvery: 2, RenameRegs: renameRegs}
-		d.Run(8)
+		runEpochs(d, 8)
 		for c := 0; c < 2; c++ {
-			st := runners[c].Dist.(*core.Steepest)
-			if got := st.Anchor().Sum(); got != renameRegs {
-				t.Fatalf("core %d anchor sums %d, want %d", c, got, renameRegs)
+			tab := sys.Core(c).Resources()
+			got := 0
+			for th := 0; th < ContextsPerCore; th++ {
+				got += tab.Limit(th, resource.IntRename)
+			}
+			if got != renameRegs {
+				t.Fatalf("core %d programmed rename shares sum %d, want %d", c, got, renameRegs)
 			}
 		}
 		out := make([]uint64, sys.Threads())
@@ -198,7 +209,7 @@ func TestSteepestProbesLeaveL3Untouched(t *testing.T) {
 	st.Singles = r.Singles
 
 	l3 := sys.L3()
-	global, core0 := l3.Stats, l3.CoreStats(0)
+	global, occ0 := l3.Stats, l3.Occupancy(0)
 	if global.Accesses == 0 {
 		t.Fatal("warm-up reached no L3 access; the check would be vacuous")
 	}
@@ -206,8 +217,8 @@ func TestSteepestProbesLeaveL3Untouched(t *testing.T) {
 	if l3.Stats != global {
 		t.Errorf("L3 stats moved during the probe wave: %+v -> %+v", global, l3.Stats)
 	}
-	if got := l3.CoreStats(0); got != core0 {
-		t.Errorf("core 0 L3 stats moved during the probe wave: %+v -> %+v", core0, got)
+	if got := l3.Occupancy(0); got != occ0 {
+		t.Errorf("core 0 L3 occupancy moved during the probe wave: %d -> %d", occ0, got)
 	}
 }
 
@@ -215,8 +226,8 @@ func TestSteepestProbesLeaveL3Untouched(t *testing.T) {
 // per-thread observations carry live IPC and stall signals.
 func TestDriverObservationsPopulated(t *testing.T) {
 	d := newTestDriver(t, 2, IPCPairing{})
-	d.Run(8)
-	obs := d.Obs()
+	runEpochs(d, 8)
+	obs := d.obs
 	var ipc, stall float64
 	for _, o := range obs {
 		ipc += o.IPC

@@ -82,7 +82,6 @@ type System struct {
 	seatBase []pipeline.ThreadStats
 
 	migrations uint64
-	cycles     uint64
 }
 
 // New builds a system of cfg.Cores cores. streams supplies one
@@ -157,12 +156,6 @@ func (s *System) Recorder(c int) *telemetry.Recorder { return s.recs[c] }
 // L3 returns the shared last-level cache (nil when disabled).
 func (s *System) L3() *cache.SharedL3 { return s.l3 }
 
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
-// Cycles returns the lock-step cycles run so far.
-func (s *System) Cycles() uint64 { return s.cycles }
-
 // Migrations returns the total thread moves performed (a swap moves
 // two threads).
 func (s *System) Migrations() uint64 { return s.migrations }
@@ -184,7 +177,6 @@ func (s *System) Cycle() {
 	for _, m := range s.cores {
 		m.Cycle()
 	}
-	s.cycles++
 }
 
 // CycleN advances the system n cycles.

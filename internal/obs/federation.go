@@ -106,17 +106,6 @@ func (f *Federator) Scrape(id, metricsURL string, now time.Time) error {
 	return nil
 }
 
-// Forget drops a node from the federation view (a peer that
-// deregistered or was reaped long ago).
-func (f *Federator) Forget(id string) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	delete(f.nodes, id)
-	f.mu.Unlock()
-}
-
 func fetchSeries(client *http.Client, url string) ([]FedSeries, error) {
 	resp, err := client.Get(url)
 	if err != nil {

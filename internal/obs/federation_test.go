@@ -120,11 +120,11 @@ func TestScrapeFailureRetainedAndForgotten(t *testing.T) {
 	if !strings.Contains(b.String(), `smtserved_cluster_node_stale{node="gone"} 1`) {
 		t.Errorf("failed scrape not rendered stale:\n%s", b.String())
 	}
-	f.Forget("gone")
+	// Once the node leaves the peer set it is no longer rendered.
 	var b2 strings.Builder
 	f.WriteCluster(&b2, map[string]bool{}, t0, time.Second)
 	if strings.Contains(b2.String(), "gone") {
-		t.Error("forgotten node still rendered")
+		t.Error("departed node still rendered")
 	}
 }
 
@@ -137,7 +137,6 @@ func TestNilFederatorNoOps(t *testing.T) {
 	if err := f.Scrape("x", "http://unused", time.Unix(0, 0)); err != nil {
 		t.Error("nil federator scrape errored")
 	}
-	f.Forget("x")
 	var b strings.Builder
 	f.WriteCluster(&b, nil, time.Unix(0, 0), time.Second)
 	if b.Len() != 0 {

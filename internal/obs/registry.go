@@ -80,9 +80,6 @@ type Gauge struct{ s *metricSeries }
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.s.gaugeBits.Store(math.Float64bits(v)) }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.s.gaugeBits.Load()) }
-
 // Hist is a power-of-two-bucketed histogram of non-negative integer
 // samples (telemetry.Hist under a lock), rendered in cumulative
 // Prometheus bucket form.
@@ -204,12 +201,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 // CounterVec registers a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{fam: r.register(name, help, kindCounter, labels)}
-}
-
-// Gauge registers an unlabeled settable gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, kindGauge, nil)
-	return &Gauge{s: f.with(nil)}
 }
 
 // GaugeVec registers a labeled gauge family.

@@ -22,7 +22,7 @@ func TestRegistryValidationPanics(t *testing.T) {
 	mustPanic(t, "empty name", func() { r.Counter("", "") })
 	mustPanic(t, "invalid label", func() { r.CounterVec("ok_name", "", "bad-label") })
 	r.Counter("dup_total", "")
-	mustPanic(t, "duplicate registration", func() { r.Gauge("dup_total", "") })
+	mustPanic(t, "duplicate registration", func() { r.GaugeVec("dup_total", "") })
 	v := r.CounterVec("labeled_total", "", "a", "b")
 	mustPanic(t, "wrong label arity", func() { v.With("only-one") })
 }
@@ -31,7 +31,7 @@ func TestRegistryRendering(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("zz_jobs_total", "sorted last by name")
 	c.Add(7)
-	g := r.Gauge("aa_depth", "sorted first")
+	g := r.GaugeVec("aa_depth", "sorted first").With()
 	g.Set(0.5)
 	v := r.CounterVec("mm_requests_total", "labeled", "route", "status")
 	v.With("GET /v1/jobs", "200").Add(3)

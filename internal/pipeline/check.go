@@ -51,9 +51,6 @@ func (m *Machine) SetInvariantChecks(on bool) {
 	}
 }
 
-// InvariantChecks reports whether per-cycle checking is on.
-func (m *Machine) InvariantChecks() bool { return m.inv != nil }
-
 // checkCommit asserts that thread th is retiring sequence numbers
 // strictly in program order. Called from commitOne under m.inv != nil.
 func (m *Machine) checkCommit(th int, seq uint64) {

@@ -233,9 +233,9 @@ func TestCloneIntoMatchesCloneAndOriginal(t *testing.T) {
 						t.Fatalf("checkpoint %d: CloneInto diverges at cycle %d: %016x != %016x", at, c, got, h)
 					}
 				}
-				if orig.Stats() != into.Stats() || into.Recorder() != nil || !into.InvariantChecks() {
+				if orig.Stats() != into.Stats() || into.Recorder() != nil || into.inv == nil {
 					t.Fatalf("checkpoint %d: CloneInto copy ended with stats %+v (recorder %v, checks %v), original %+v",
-						at, into.Stats(), into.Recorder() != nil, into.InvariantChecks(), orig.Stats())
+						at, into.Stats(), into.Recorder() != nil, into.inv != nil, orig.Stats())
 				}
 			}
 		})

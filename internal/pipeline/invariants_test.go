@@ -62,7 +62,7 @@ func TestInvariantsUnderRandomizedStress(t *testing.T) {
 			t.Fatalf("trial %d final: %v", trial, err)
 		}
 		c := m.Clone()
-		if !c.InvariantChecks() {
+		if c.inv == nil {
 			t.Fatal("clone dropped invariant-checking mode")
 		}
 		if err := c.CheckInvariants(); err != nil {
@@ -124,15 +124,15 @@ func TestCheckInvariantsReportsCorruption(t *testing.T) {
 // functional half: no checking state exists unless requested.
 func TestInvariantChecksOffByDefault(t *testing.T) {
 	m := New(DefaultConfig(1), []isa.Stream{trace.New(ilpProfile(5))}, nil)
-	if m.InvariantChecks() {
+	if m.inv != nil {
 		t.Fatal("invariant checks on by default")
 	}
 	m.SetInvariantChecks(true)
-	if !m.InvariantChecks() {
+	if m.inv == nil {
 		t.Fatal("SetInvariantChecks(true) did not enable checking")
 	}
 	m.SetInvariantChecks(false)
-	if m.InvariantChecks() {
+	if m.inv != nil {
 		t.Fatal("SetInvariantChecks(false) did not disable checking")
 	}
 }

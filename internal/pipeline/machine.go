@@ -325,7 +325,7 @@ func New(cfg Config, streams []isa.Stream, pol Policy) *Machine {
 	m := &Machine{
 		cfg:           cfg,
 		res:           resource.NewTable(cfg.Threads, cfg.Resources),
-		mem:           cache.NewHierarchy(cfg.Mem, cfg.Threads),
+		mem:           cache.NewHierarchy(cfg.Mem),
 		bp:            bpred.New(cfg.Bpred),
 		slab:          make([]inflight, slabSize),
 		free:          make([]int32, 0, slabSize),
@@ -445,9 +445,6 @@ func (m *Machine) CloneInto(dst *Machine) *Machine {
 	return dst
 }
 
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Now returns the current cycle.
 func (m *Machine) Now() uint64 { return m.now }
 
@@ -460,9 +457,6 @@ func (m *Machine) Resources() *resource.Table { return m.res }
 
 // Mem exposes the cache hierarchy (for policy classification and stats).
 func (m *Machine) Mem() *cache.Hierarchy { return m.mem }
-
-// Bpred exposes the branch predictor.
-func (m *Machine) Bpred() *bpred.Predictor { return m.bp }
 
 // Stats returns the machine-level counters, aggregated over threads.
 func (m *Machine) Stats() Stats {
@@ -502,9 +496,6 @@ func (m *Machine) Recorder() *telemetry.Recorder { return m.rec }
 // Committed returns the instructions committed so far by thread th.
 func (m *Machine) Committed(th int) uint64 { return m.threads[th].stats.Committed }
 
-// Flushed returns the instructions squashed so far by flushes of thread th.
-func (m *Machine) Flushed(th int) uint64 { return m.threads[th].stats.Flushed }
-
 // OutstandingL2 returns thread th's in-flight L2-missing load count.
 func (m *Machine) OutstandingL2(th int) int { return m.threads[th].outstandingL2 }
 
@@ -534,9 +525,6 @@ func (m *Machine) ICount(th int) int {
 	return frontEnd + m.res.Occ(th, resource.IntIQ) + m.res.Occ(th, resource.FpIQ) + m.res.Occ(th, resource.LSQ)
 }
 
-// Policy returns the attached per-cycle policy.
-func (m *Machine) Policy() Policy { return m.policy }
-
 // SetPolicy replaces the per-cycle policy (nil restores plain ICOUNT).
 // The experiment harness uses it to run different techniques forward from
 // the same checkpoint ("synchronized" comparisons, Section 3.3).
@@ -564,9 +552,6 @@ func (m *Machine) Stall(n int) {
 func (m *Machine) SetFetchEnabled(th int, enabled bool) {
 	m.fetchDisabled[th] = !enabled
 }
-
-// FetchEnabled reports whether fetch is administratively enabled for th.
-func (m *Machine) FetchEnabled(th int) bool { return !m.fetchDisabled[th] }
 
 // get returns the slab entry for r, or nil if the ref is stale.
 func (m *Machine) get(r ref) *inflight {
@@ -600,10 +585,4 @@ func (m *Machine) release(r ref) {
 	e.gen++
 	//smtlint:ignore hotalloc free list capacity is fixed at the slab size; this append never grows it
 	m.free = append(m.free, r.idx)
-}
-
-// ready reports whether the operand guarded by r is available.
-func (m *Machine) ready(r ref) bool {
-	e := m.get(r)
-	return e == nil || e.done
 }

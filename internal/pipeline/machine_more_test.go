@@ -54,11 +54,11 @@ func TestBBVAccumulatesAndResets(t *testing.T) {
 func TestSetPolicySwitch(t *testing.T) {
 	m := newMachine(t, 2, []trace.Profile{memProfile(1), ilpProfile(2)}, nil)
 	m.CycleN(10_000)
-	if m.Policy().Name() != "ICOUNT" {
+	if m.policy.Name() != "ICOUNT" {
 		t.Fatal("default policy wrong")
 	}
 	m.SetPolicy(nil)
-	if m.Policy().Name() != "ICOUNT" {
+	if m.policy.Name() != "ICOUNT" {
 		t.Fatal("nil SetPolicy did not restore ICOUNT")
 	}
 	// Swapping policies mid-run keeps the machine consistent.
@@ -96,14 +96,14 @@ func TestSlabNeverLeaks(t *testing.T) {
 	// recovers all slots once the pipeline drains.
 	streams := []isa.Stream{trace.NewLimited(memProfile(1), 20_000)}
 	m := New(DefaultConfig(1), streams, nil)
-	for i := 0; i < 400_000 && !m.Done(); i++ {
+	for i := 0; i < 400_000 && !drained(m); i++ {
 		m.Cycle()
 		if i%5_000 == 0 && len(m.threads[0].liveROB()) > 1 {
 			headSeq := m.slab[m.threads[0].liveROB()[0].idx].inst.Seq
 			m.FlushAfter(0, headSeq)
 		}
 	}
-	if !m.Done() {
+	if !drained(m) {
 		t.Fatal("machine did not drain")
 	}
 	if got := len(m.free); got != len(m.slab) {

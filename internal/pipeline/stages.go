@@ -44,18 +44,6 @@ func (m *Machine) CycleN(n int) {
 	}
 }
 
-// Done reports whether every stream is exhausted and the pipeline has
-// drained. Machines running unbounded synthetic streams never finish.
-func (m *Machine) Done() bool {
-	for i := range m.threads {
-		t := &m.threads[i]
-		if !t.exhausted || len(t.rob) > t.robHead || t.fetchCur < len(t.pending) || t.dispatchCur < t.fetchCur {
-			return false
-		}
-	}
-	return true
-}
-
 // ---------------------------------------------------------------- commit
 
 func (m *Machine) commit(stalled bool) {
@@ -98,7 +86,7 @@ func (m *Machine) commitOne(th int) bool {
 		m.checkCommit(th, in.Seq)
 	}
 	if in.Class == isa.Store {
-		m.mem.Store(th, t.addrBase+in.Addr)
+		m.mem.Store(t.addrBase + in.Addr)
 	}
 	// Release held resources.
 	if e.holdsLSQ {
@@ -350,7 +338,7 @@ func (m *Machine) tryIssue(r ref, e *inflight, fu *FUConfig) bool {
 			return false
 		}
 		fu.MemPorts--
-		memLat, l2miss := m.mem.Load(th, t.addrBase+in.Addr)
+		memLat, l2miss := m.mem.Load(t.addrBase + in.Addr)
 		lat += memLat
 		if memLat > m.cfg.Mem.DL1.Latency {
 			e.dmiss = true
@@ -595,7 +583,7 @@ func (m *Machine) fetchThread(th int, budget int) int {
 		// Charge instruction-cache misses on block transitions.
 		block := pc >> 6
 		if block != t.lastFetchBlock {
-			if lat := m.mem.Fetch(th, pc); lat > m.cfg.Mem.IL1.Latency {
+			if lat := m.mem.Fetch(pc); lat > m.cfg.Mem.IL1.Latency {
 				t.fetchStall = m.now + uint64(lat)
 				t.fetchStallICache = true
 				break

@@ -53,10 +53,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Partitioned reports whether the structure is explicitly partitioned by
-// the learning-based distribution mechanisms.
-func (k Kind) Partitioned() bool { return k == IntIQ || k == IntRename || k == ROB }
-
 // Sizes holds the total entry count of each structure.
 type Sizes [NumKinds]int
 
@@ -113,6 +109,8 @@ func (s Shares) Sum() int {
 
 // Valid reports whether every share is at least MinShare and the total
 // equals total.
+//
+//smtlint:ignore deadcode test support: the share-legality predicate the resource and core suites assert on climber output
 func (s Shares) Valid(total int) bool {
 	for _, v := range s {
 		if v < MinShare {
@@ -216,9 +214,6 @@ func (t *Table) CloneInto(dst *Table) *Table {
 	}
 	return dst
 }
-
-// Threads returns the number of hardware contexts tracked.
-func (t *Table) Threads() int { return t.threads }
 
 // Sizes returns the structure capacities.
 func (t *Table) Sizes() Sizes { return t.sizes }
@@ -351,16 +346,6 @@ func (t *Table) AtPartitionLimit(th int) bool {
 // occupancy legitimately draining down to a just-shrunk limit from
 // occupancy growing past its limit.
 func (t *Table) Version() uint64 { return t.version }
-
-// ProgrammedShares returns a copy of the share vector currently in force
-// and true, or nil and false when the table is not under share-based
-// partitioning (ClearPartitions or direct SetLimit programming).
-func (t *Table) ProgrammedShares() (Shares, bool) {
-	if t.mode == modeNone {
-		return nil, false
-	}
-	return t.shares.Clone(), true
-}
 
 // CheckConservation verifies the table's bookkeeping against the
 // capacities and the programmed share vector: occupancies are

@@ -17,11 +17,17 @@ func TestDefaultSizesMatchTable1(t *testing.T) {
 	}
 }
 
+// TestPartitionedKinds: share programming limits exactly the integer IQ,
+// the integer rename file and the ROB; every other structure stays
+// shared at full capacity.
 func TestPartitionedKinds(t *testing.T) {
+	tab := NewTable(2, DefaultSizes())
+	tab.SetShares(Shares{64, 192})
 	want := map[Kind]bool{IntIQ: true, IntRename: true, ROB: true}
 	for k := Kind(0); k < NumKinds; k++ {
-		if k.Partitioned() != want[k] {
-			t.Errorf("%v.Partitioned() = %v", k, k.Partitioned())
+		limit, size := tab.Limit(0, k), tab.Sizes()[k]
+		if (limit < size) != want[k] {
+			t.Errorf("%v: thread 0 limited to %d of %d entries", k, limit, size)
 		}
 	}
 }
@@ -250,7 +256,7 @@ func TestCheckConservation(t *testing.T) {
 	if err := tab.CheckConservation(); err != nil {
 		t.Fatalf("fresh table fails conservation: %v", err)
 	}
-	if _, ok := tab.ProgrammedShares(); ok {
+	if tab.mode != modeNone {
 		t.Fatal("fresh table reports programmed shares")
 	}
 
@@ -262,9 +268,8 @@ func TestCheckConservation(t *testing.T) {
 	if err := tab.CheckConservation(); err != nil {
 		t.Fatalf("equal shares fail conservation: %v", err)
 	}
-	got, ok := tab.ProgrammedShares()
-	if !ok || got.Sum() != 256 {
-		t.Fatalf("ProgrammedShares = %v, %v", got, ok)
+	if tab.mode == modeNone || tab.shares.Sum() != 256 {
+		t.Fatalf("programmed shares = %v (mode %v)", tab.shares, tab.mode)
 	}
 
 	// A short share vector must be reported.
@@ -284,7 +289,7 @@ func TestCheckConservation(t *testing.T) {
 	if err := tab.CheckConservation(); err != nil {
 		t.Fatalf("direct limits fail conservation: %v", err)
 	}
-	if _, ok := tab.ProgrammedShares(); ok {
+	if tab.mode != modeNone {
 		t.Fatal("SetLimit left stale programmed shares in force")
 	}
 

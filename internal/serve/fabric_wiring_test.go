@@ -22,7 +22,7 @@ func TestFabricWiring(t *testing.T) {
 		Workers:      2,
 		Backend:      coord.Backend(),
 		Remote:       coord,
-		ExtraMetrics: []func(io.Writer){coord.WriteMetrics},
+		ExtraMetrics: []func(io.Writer){coord.Registry().Write},
 		ExtraHealth:  coord.Health,
 	})
 

@@ -48,19 +48,18 @@ const (
 // to Result or to the simulation semantics behind it.
 const schemaVersion = 1
 
-// WireVersion is the current Spec/Result JSON wire version. It exists
-// so the distributed fabric's coordinator/worker exchange can evolve
-// without silent skew: a sender stamps Version, a receiver rejects
-// versions newer than it understands instead of misinterpreting the
-// payload. Version zero (the field omitted) always means "current", so
-// standalone clients and cached entries never need restamping.
-// WireVersion is deliberately separate from schemaVersion: bumping the
-// wire version adds fields the other side may not know, bumping the
-// schema version changes what a cached Result means.
+// WireVersion is the current Spec JSON wire version. A client may stamp
+// Spec.Version with the version it speaks; Validate rejects versions
+// newer than this build understands instead of misinterpreting the
+// request. Version zero (the field omitted) always means "current", so
+// clients never need to stamp it. WireVersion is deliberately separate
+// from schemaVersion: bumping the wire version adds Spec fields an older
+// daemon does not know, bumping the schema version changes what a cached
+// Result means.
 //
 // Version history: 1 added the version field itself; 2 added the
-// multicore fields (Spec.Cores/Pairing, Result.Cores/Pairing/
-// Migrations/CoreIPC/L3MissRate).
+// multicore fields (Spec.Cores/Pairing, and the Result fields they
+// produce).
 const WireVersion = 2
 
 // Techniques lists the distribution techniques a Spec may name, in
@@ -243,11 +242,6 @@ type ThreadResult struct {
 // carries exactly the quantities cmd/smtsim prints, so the CLI's -json
 // mode and the daemon's job API share one schema.
 type Result struct {
-	// Version is the wire version of the producing node (0 means
-	// current; see WireVersion). Omitted on the standalone path so CLI
-	// and daemon output are unchanged; the fabric stamps it on exec
-	// responses and the coordinator rejects versions it does not speak.
-	Version int `json:"version,omitempty"`
 	// Workload, Tech, Epochs, and EpochSize echo the normalised Spec.
 	Workload  string `json:"workload"`
 	Tech      string `json:"tech"`
@@ -293,10 +287,6 @@ func checkWireVersion(v int) error {
 	}
 	return nil
 }
-
-// CheckVersion validates a received Result's wire version; see
-// checkWireVersion for the acceptance rule.
-func (r Result) CheckVersion() error { return checkWireVersion(r.Version) }
 
 // SpecFromKey reconstructs the Spec addressed by a canonical simjob
 // cache key (the inverse of Spec.Key). ok=false means the key belongs

@@ -1,6 +1,7 @@
 package simjob
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -53,36 +54,6 @@ func TestSpecUnknownVersionRejected(t *testing.T) {
 	}
 	if (Spec{Version: -1, Workload: "art-mcf", Tech: "ICOUNT"}).Validate() == nil {
 		t.Fatal("negative wire version accepted")
-	}
-}
-
-func TestResultVersionRoundTripAndRejection(t *testing.T) {
-	r := Result{Version: WireVersion, Workload: "art-mcf", Tech: "ICOUNT"}
-	b, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Result
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Version != WireVersion {
-		t.Fatalf("Version lost in round-trip: %+v", back)
-	}
-	if err := back.CheckVersion(); err != nil {
-		t.Fatal(err)
-	}
-	back.Version = WireVersion + 7
-	if back.CheckVersion() == nil {
-		t.Fatal("future Result wire version accepted")
-	}
-	// Legacy payloads (no version field) remain acceptable.
-	var legacy Result
-	if err := json.Unmarshal([]byte(`{"workload":"art-mcf"}`), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.CheckVersion(); err != nil {
-		t.Fatalf("versionless Result rejected: %v", err)
 	}
 }
 
@@ -146,6 +117,50 @@ func FuzzSpecFromKey(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("SpecFromKey(%q) accepted an invalid spec: %v", key, err)
+		}
+	})
+}
+
+// FuzzSpecJSON feeds arbitrary bytes through the path the daemon's
+// submit handler runs on a request body: decode with unknown fields
+// rejected, Normalize, Validate, Key. It must never panic. A spec naming
+// a wire version outside [0, WireVersion] must not validate, and a spec
+// that validates must be a fixed point of Normalize with a Key that a
+// second Normalize leaves unchanged.
+func FuzzSpecJSON(f *testing.F) {
+	f.Add([]byte(`{"workload":"art-mcf","tech":"HILL-WIPC"}`))
+	f.Add([]byte(`{"version":2,"workload":"art,mcf,fma3d,gcc","tech":"STEEP-WIPC","epochs":6,` +
+		`"epoch_size":8192,"warmup":1,"cores":2,"pairing":"ipc-pred"}`))
+	f.Add([]byte(`{"workload":"gzip","tech":"STATIC","delta":8,"seed":7}`))
+	f.Add([]byte(`{"version":3,"workload":"art-mcf"}`))
+	f.Add([]byte(`{"version":-1,"workload":"art-mcf"}`))
+	f.Add([]byte(`{"workload":"art-mcf","epochs":-1}`))
+	f.Add([]byte(`{"workload":"art-mcf","bogus":1}`))
+	f.Add([]byte(`{"workload":"art-mcf","pairing":"random"}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var s Spec
+		if err := dec.Decode(&s); err != nil {
+			return
+		}
+		s = s.Normalize()
+		err := s.Validate()
+		if s.Version < 0 || s.Version > WireVersion {
+			if err == nil {
+				t.Fatalf("%s: wire version %d accepted", body, s.Version)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		if n := s.Normalize(); n != s {
+			t.Fatalf("%s: Normalize is not idempotent: %+v -> %+v", body, s, n)
+		}
+		if k, k2 := s.Key(), s.Normalize().Key(); k != k2 {
+			t.Fatalf("%s: Key %q changes to %q after a second Normalize", body, k, k2)
 		}
 	})
 }

@@ -134,7 +134,7 @@ func (f remoteFunc) Exec(ctx context.Context, key string) (json.RawMessage, bool
 func TestRemoteHandlesJob(t *testing.T) {
 	e := NewEngine(1)
 	var sources []Source
-	e.SetObserver(func(ev Event) {
+	e.AddObserver(func(ev Event) {
 		if ev.Kind == JobDone {
 			sources = append(sources, ev.Source)
 		}

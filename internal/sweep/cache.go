@@ -44,9 +44,6 @@ func NewCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // entry is the cache file format. Key is stored verbatim so entries are
 // debuggable with a text editor and so Get can reject the (cosmically
 // unlikely) hash collision as well as any stale addressing scheme.

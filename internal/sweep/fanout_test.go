@@ -38,34 +38,3 @@ func TestObserverFanOut(t *testing.T) {
 		}
 	}
 }
-
-// TestSetObserverReplacesFanOut pins SetObserver's replace semantics
-// against AddObserver's append semantics.
-func TestSetObserverReplacesFanOut(t *testing.T) {
-	e := NewEngine(1)
-	var old, cur int
-	e.AddObserver(func(Event) { old++ })
-	e.SetObserver(func(Event) { cur++ })
-	_, err := Run(context.Background(), e, []Job[int]{
-		{Key: "x", Run: func(context.Context) (int, error) { return 0, nil }},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old != 0 {
-		t.Fatalf("replaced observer still saw %d events", old)
-	}
-	if cur == 0 {
-		t.Fatal("installed observer saw nothing")
-	}
-	e.SetObserver(nil)
-	cur = 0
-	if _, err := Run(context.Background(), e, []Job[int]{
-		{Key: "y", Run: func(context.Context) (int, error) { return 0, nil }},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if cur != 0 {
-		t.Fatal("nil SetObserver did not detach observers")
-	}
-}

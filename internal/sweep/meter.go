@@ -11,7 +11,7 @@ import (
 // completed job becomes a telemetry job event (key, result source, wall
 // time), and Summarize reports batch-level totals — job count, cache
 // hits, busy and wall seconds, and worker utilisation. Install with
-// Engine.SetObserver(m.Observe); it composes with other observers by
+// Engine.AddObserver(m.Observe); it composes with other observers by
 // plain function chaining.
 type Meter struct {
 	sink    telemetry.Sink

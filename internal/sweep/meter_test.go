@@ -44,7 +44,7 @@ func TestMeterOnEngine(t *testing.T) {
 	var sink telemetry.MemorySink
 	e := NewEngine(2)
 	m := NewMeter(&sink, e.Workers())
-	e.SetObserver(m.Observe)
+	e.AddObserver(m.Observe)
 
 	var runs atomic.Int64
 	jobs := []Job[float64]{countedJob(1, &runs), countedJob(2, &runs)}

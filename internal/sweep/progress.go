@@ -51,7 +51,7 @@ type Event struct {
 }
 
 // Reporter renders engine events as one line per completed job, suitable
-// for stderr. Install with Engine.SetObserver(r.Observe). The engine
+// for stderr. Install with Engine.AddObserver(r.Observe). The engine
 // serialises event delivery, so Observe needs no locking of its own.
 type Reporter struct {
 	w io.Writer

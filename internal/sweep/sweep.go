@@ -57,7 +57,7 @@ type Job[R any] struct {
 }
 
 // Engine executes job batches. The zero value is not usable; construct
-// with NewEngine. Configure (SetCache, SetObserver) before the first Run
+// with NewEngine. Configure (SetCache, AddObserver) before the first Run
 // call; an Engine may then be shared by concurrent Run calls and reused
 // across batches, accumulating its in-process memo.
 type Engine struct {
@@ -98,20 +98,10 @@ func (e *Engine) SetCache(c *Cache) {
 	e.cache = c
 }
 
-// SetObserver installs fn as the only progress hook, replacing any
-// observers added so far (nil removes them all). Events are delivered
-// serially (never concurrently), but from worker goroutines.
-func (e *Engine) SetObserver(fn func(Event)) {
-	if fn == nil {
-		e.observers = nil
-		return
-	}
-	e.observers = []func(Event){fn}
-}
-
-// AddObserver subscribes an additional progress hook; every installed
-// observer sees every event, in subscription order. Like SetObserver and
-// SetCache it must be called before the first Run — the observer list is
+// AddObserver subscribes a progress hook; every installed observer sees
+// every event, in subscription order. Events are delivered serially
+// (never concurrently), but from worker goroutines. Like SetCache it must
+// be called before the first Run — the observer list is
 // read without locking by running batches.
 func (e *Engine) AddObserver(fn func(Event)) {
 	if fn != nil {

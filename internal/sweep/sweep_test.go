@@ -142,7 +142,7 @@ func TestWorkerPoolConcurrency(t *testing.T) {
 	}
 	e.SetCache(c)
 	var events atomic.Int64
-	e.SetObserver(func(Event) { events.Add(1) })
+	e.AddObserver(func(Event) { events.Add(1) })
 
 	// A rendezvous barrier: the first four jobs must all be in flight at
 	// once before any may finish, proving the pool really is parallel.
@@ -178,7 +178,7 @@ func TestWorkerPoolConcurrency(t *testing.T) {
 	var hits atomic.Int64
 	e2 := NewEngine(4)
 	e2.SetCache(c)
-	e2.SetObserver(func(ev Event) {
+	e2.AddObserver(func(ev Event) {
 		if ev.Kind == JobDone && ev.Source == FromCache {
 			hits.Add(1)
 		}

@@ -116,14 +116,6 @@ func (h *Hist) Observe(v int) {
 	h.Sum += uint64(v)
 }
 
-// Mean returns the exact mean of all samples (0 with no samples).
-func (h *Hist) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // BucketLo returns the smallest value bucket i holds.
 func BucketLo(i int) int {
 	if i <= 0 {
@@ -195,36 +187,4 @@ func (r *Recorder) Totals() map[string]uint64 {
 		out["occ.rob"] += t.ROBOcc.Sum
 	}
 	return out
-}
-
-// AddFrom accumulates other's counters into r (thread counts must
-// match). The idealised learners use it to merge a winning trial's
-// recorder into the run's recorder.
-func (r *Recorder) AddFrom(other *Recorder) {
-	if other == nil {
-		return
-	}
-	r.Cycles += other.Cycles
-	r.Stalled += other.Stalled
-	for i := range r.Threads {
-		if i >= len(other.Threads) {
-			break
-		}
-		a, b := &r.Threads[i], &other.Threads[i]
-		for fr := range a.Fetch {
-			a.Fetch[fr] += b.Fetch[fr]
-		}
-		for dr := range a.Dispatch {
-			a.Dispatch[dr] += b.Dispatch[dr]
-		}
-		for bk := range a.IQOcc.Buckets {
-			a.IQOcc.Buckets[bk] += b.IQOcc.Buckets[bk]
-			a.ROBOcc.Buckets[bk] += b.ROBOcc.Buckets[bk]
-		}
-		a.IQOcc.Count += b.IQOcc.Count
-		a.IQOcc.Sum += b.IQOcc.Sum
-		a.ROBOcc.Count += b.ROBOcc.Count
-		a.ROBOcc.Sum += b.ROBOcc.Sum
-		a.L2Outstanding += b.L2Outstanding
-	}
 }

@@ -269,8 +269,7 @@ func joinFloats(vs []float64) string {
 	return strings.Join(parts, ";")
 }
 
-// MemorySink buffers events in memory, for tests and programmatic
-// consumers.
+// MemorySink buffers events in memory, for tests.
 type MemorySink struct {
 	mu     sync.Mutex
 	events []Event // guarded by mu
@@ -284,6 +283,8 @@ func (s *MemorySink) Emit(ev Event) {
 }
 
 // Events returns a copy of everything emitted so far.
+//
+//smtlint:ignore deadcode test support: how the telemetry, sweep, simjob and core suites read a MemorySink
 func (s *MemorySink) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()

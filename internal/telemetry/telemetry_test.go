@@ -140,9 +140,6 @@ func TestHist(t *testing.T) {
 	if h.Count != 6 || h.Sum != 106 {
 		t.Fatalf("Count=%d Sum=%d, want 6/106", h.Count, h.Sum)
 	}
-	if got := h.Mean(); got < 17.6 || got > 17.7 {
-		t.Fatalf("Mean = %g", got)
-	}
 	// 0 and the clamped -5 land in bucket 0; 1 in bucket 1; 2,3 in bucket
 	// 2; 100 in bucket 7 ([64,128)).
 	want := map[int]uint64{0: 2, 1: 1, 2: 2, 7: 1}
@@ -161,7 +158,7 @@ func TestHist(t *testing.T) {
 	}
 }
 
-func TestRecorderTotalsAndAddFrom(t *testing.T) {
+func TestRecorderTotals(t *testing.T) {
 	r := NewRecorder(2)
 	r.Cycles = 100
 	r.Stalled = 7
@@ -183,13 +180,5 @@ func TestRecorderTotalsAndAddFrom(t *testing.T) {
 	}
 	if _, ok := tot["fetch.policy"]; ok {
 		t.Error("zero counters should not appear in Totals")
-	}
-
-	r.AddFrom(r)
-	tot = r.Totals()
-	for k, want := range checks {
-		if tot[k] != 2*want {
-			t.Errorf("after AddFrom, Totals[%q] = %d, want %d", k, tot[k], 2*want)
-		}
 	}
 }

@@ -222,6 +222,8 @@ func (p *Profile) validate() error {
 // structural keys first, then the set (non-zero) pole parameters in a
 // fixed order. ParseProfile(p.Spec()) == p for any parsed p, which makes
 // Spec a stable content key for caching and a lossless serialisation.
+//
+//smtlint:ignore deadcode test support: the round-trip reference behind the ParseProfile(p.Spec()) == p tests
 func (p Profile) Spec() string {
 	var b strings.Builder
 	emit := func(key, val string) {

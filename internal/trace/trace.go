@@ -308,12 +308,6 @@ func (g *Gen) CloneStream(dst isa.Stream) isa.Stream {
 	return d
 }
 
-// Profile returns the generator's (defaulted) profile.
-func (g *Gen) Profile() Profile { return g.prof }
-
-// Seq returns the number of instructions generated so far.
-func (g *Gen) Seq() uint64 { return g.seq }
-
 func (g *Gen) nextBlockLen() int {
 	n := g.prof.BlockLen/2 + g.rng.Intn(g.prof.BlockLen+1)
 	if n < 2 {

@@ -33,11 +33,11 @@ func TestChaseChainsRotate(t *testing.T) {
 func TestChaseChainsClamped(t *testing.T) {
 	p := Profile{Seed: 1, A: Params{PointerChase: 1, ChaseChains: 99, FracLoad: 0.5}}
 	g := New(p)
-	if g.Profile().A.ChaseChains != 12 {
-		t.Fatalf("ChaseChains clamped to %d", g.Profile().A.ChaseChains)
+	if g.prof.A.ChaseChains != 12 {
+		t.Fatalf("ChaseChains clamped to %d", g.prof.A.ChaseChains)
 	}
 	p.A.ChaseChains = -3
-	if New(p).Profile().A.ChaseChains != 1 {
+	if New(p).prof.A.ChaseChains != 1 {
 		t.Fatal("negative ChaseChains not clamped to 1")
 	}
 }

@@ -81,8 +81,8 @@ func TestSeqNumbers(t *testing.T) {
 			t.Fatalf("instruction %d has Seq %d", i, in.Seq)
 		}
 	}
-	if g.Seq() != 1000 {
-		t.Fatalf("Seq() = %d", g.Seq())
+	if g.seq != 1000 {
+		t.Fatalf("generator seq = %d", g.seq)
 	}
 }
 
